@@ -300,10 +300,12 @@ class SweetKNN:
         and, through the JoinPlan's own per-k cache, the level-1 bounds.
         """
         version = self.index.version
-        for cached_queries, cached_mq, cached_version, cached_plan \
-                in self._join_plans:
-            if cached_queries is queries and cached_mq == mq \
-                    and cached_version == version:
+        # A plan of an earlier version can never be hit again, and it
+        # holds that version's clustered target set: drop it.
+        self._join_plans = [entry for entry in self._join_plans
+                            if entry[2] == version]
+        for cached_queries, cached_mq, _, cached_plan in self._join_plans:
+            if cached_queries is queries and cached_mq == mq:
                 return cached_plan
         join_plan = self.index.join_plan(queries, mq=mq)
         self._join_plans.append((queries, mq, version, join_plan))

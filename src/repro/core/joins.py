@@ -1,7 +1,7 @@
 """TI-filtered predicate joins: ε-range, self-join and reverse-KNN.
 
 The two-level filter chain of Fig. 4 never inspects what is being
-collected (see :mod:`repro.core.predicates`); this module drives the
+collected (see :mod:`repro.core.predicates`); this module runs the
 same chain — Step-1 preparation, level-1 group filter, level-2 member
 scan — for the non-top-k join shapes and packs the variable-
 cardinality answers into :class:`~repro.core.result.RangeResult`:
@@ -21,7 +21,9 @@ cardinality answers into :class:`~repro.core.result.RangeResult`:
     k-th NN distance within the target set
     (:class:`~repro.core.predicates.ReverseKNNPredicate`).
 
-All three register as engines (``method="range-join"``,
+All three run through :func:`~repro.core.ti_knn.ti_knn_join`, the one
+host TI driver, with a :class:`PredicateScan` level-2 stage, and
+register as engines (``method="range-join"``,
 ``"self-join-eps"``, ``"rknn"``) and inherit the execution layer's
 batching/sharding contract: the scan of a query depends only on its
 own cluster's candidate list and the predicate's (plan-deterministic)
@@ -37,9 +39,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
+from .filters import point_scan
 from .predicates import EpsilonRangePredicate, ReverseKNNPredicate
-from .result import JoinStats, RangeResult
-from .ti_knn import prepare_clusters
+from .result import RangeResult
+from .ti_knn import Level2, ti_knn_join
 
 __all__ = ["range_join", "self_range_join", "reverse_knn_join", "ENGINES"]
 
@@ -49,8 +52,8 @@ class _SelfJoinFilter:
 
     Scanning query ``q``: the trivial pair ``t == q`` is dropped, and a
     partner ``t < q`` that is *active in this call* is skipped because
-    t's own scan computes ``d(t, q)`` (the same value) and the driver
-    mirrors the accepted pair into q's row.  Inactive partners (rows of
+    t's own scan computes ``d(t, q)`` (the same value) and
+    :class:`PredicateScan` mirrors the accepted pair into q's row.  Inactive partners (rows of
     another tile/shard) are never skipped, so tiled execution stays
     exact without cross-tile communication.
     """
@@ -91,101 +94,62 @@ class _SelfJoinFilter:
         return self._inner.offer(dist, t)
 
 
-def _predicate_join(queries, targets, predicate, rng, mq=None, mt=None,
-                    plan=None, query_subset=None, account_prepare=True,
-                    method="", k_stat=0, self_join=False):
-    """Drive the TI filter chain for one predicate; pack a RangeResult.
+class PredicateScan(Level2):
+    """Level 2 of the predicate joins: :func:`point_scan` per query
+    against the predicate's accumulator, packed into a RangeResult.
 
-    Mirrors :func:`~repro.core.ti_knn.ti_knn_join`'s structure — Step-1
-    plan, per-query-cluster level-1 state, per-query
-    :func:`~repro.core.filters.point_scan` — with the predicate
-    supplying bounds and acceptance.
+    ``JoinStats.k`` is the predicate's ``k`` (0 for ε-range).
+    ``self_join`` wraps each accumulator in :class:`_SelfJoinFilter`
+    and, once every query is scanned, mirrors each accepted pair into
+    its active partner's row.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
 
-    if plan is None:
-        plan = prepare_clusters(queries, targets, rng, mq=mq, mt=mt)
-    state = plan.level1_for(predicate)
+    def __init__(self, predicate, method, self_join=False):
+        self.predicate = predicate
+        self.method = method
+        self.k = getattr(predicate, "k", 0)
+        self.self_join = self_join
 
-    n_q = len(queries)
-    if query_subset is None:
-        active = np.arange(n_q)
-    else:
-        active = np.asarray(query_subset, dtype=np.int64)
-    active_mask = np.zeros(n_q, dtype=bool)
-    active_mask[active] = True
-    local_row = np.full(n_q, -1, dtype=np.int64)
-    local_row[active] = np.arange(len(active))
+    def scan_query(self, join, q, qc, row, cand, ub):
+        acc = self.predicate.accumulator(join.state, qc)
+        if self.self_join:
+            acc = _SelfJoinFilter(acc, q, join.active_mask)
+        trace = point_scan(join.queries[q], q, join.plan.target_clusters,
+                           cand, acc, center_dists_row=row)
+        return acc.pairs, trace
 
-    cq, ct = plan.query_clusters, plan.target_clusters
-    stats = JoinStats(
-        n_queries=len(active), n_targets=len(targets), k=k_stat,
-        dim=queries.shape[1], mq=plan.mq, mt=plan.mt,
-        init_distance_computations=(
-            (cq.init_distance_computations + ct.init_distance_computations)
-            if account_prepare else 0),
-        candidate_cluster_pairs=(
-            state.candidate_pairs() if account_prepare else 0),
-    )
-    stats.extra["predicate"] = predicate.name
-    prep = state.prep_trace
-    if account_prepare and prep is not None:
-        # Reverse-KNN's kdist preparation computes exact distances
-        # inside the target set; they are part of this join's work.
-        prep_dists = (prep.distance_computations
-                      + prep.center_distance_computations)
-        stats.init_distance_computations += prep_dists
-        stats.extra["rknn_prep_distances"] = prep_dists
+    def pack(self, join, values):
+        stats = join.stats
+        stats.extra["predicate"] = self.predicate.name
+        prep = join.state.prep_trace
+        if join.account_prepare and prep is not None:
+            # Reverse-KNN's kdist preparation computes exact distances
+            # inside the target set; they are part of this join's work.
+            prep_dists = (prep.distance_computations
+                          + prep.center_distance_computations)
+            stats.init_distance_computations += prep_dists
+            stats.extra["rknn_prep_distances"] = prep_dists
+        if self.self_join:
+            # Mirror each accepted (d, t) into active partner rows:
+            # t > q here (active t < q were skipped at admission).
+            mirrored = [[] for _ in values]
+            for q, pairs in zip(join.active, values):
+                for dist, t in pairs:
+                    if join.active_mask[t]:
+                        mirrored[join.local_row[t]].append((dist, q))
+            values = [pairs + more for pairs, more in zip(values, mirrored)]
 
-    target_sizes = np.asarray(ct.cluster_sizes(), dtype=np.int64)
-
-    # Imported lazily through ti_knn's own imports to keep this module
-    # free of a filters import cycle via predicates.
-    from .filters import center_distance_rows, point_scan
-
-    rows_out = [[] for _ in range(len(active))]
-    for qc in range(cq.n_clusters):
-        cand = state.candidates[qc]
-        members = cq.members[qc]
-        scanned = members[active_mask[members]] if members.size else members
-        if scanned.size == 0:
-            continue
-        cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
-        rows = center_distance_rows(queries[scanned], ct, cand)
-        for local, q in enumerate(scanned):
-            stats.level1_survivor_pairs += cluster_pairs
-            acc = predicate.accumulator(state, qc)
-            if self_join:
-                acc = _SelfJoinFilter(acc, q, active_mask)
-            trace = point_scan(queries[q], q, ct, cand, acc,
-                               center_dists_row=rows[local])
-            stats.level2_distance_computations += trace.distance_computations
-            stats.center_distance_computations += (
-                trace.center_distance_computations)
-            stats.examined_points += trace.examined
-            stats.heap_updates += trace.heap_updates
-            stats.predicate_accepted_pairs += trace.accepted
-            rows_out[local_row[q]].extend(acc.pairs)
-            if self_join:
-                # Mirror each accepted (d, t) into active partner rows:
-                # t > q here (active t < q were skipped at admission).
-                for dist, t in acc.pairs:
-                    if active_mask[t]:
-                        rows_out[local_row[t]].append((dist, q))
-
-    packed = []
-    for pairs in rows_out:
-        if not pairs:
-            packed.append((np.empty(0, dtype=np.float64),
-                           np.empty(0, dtype=np.int64)))
-            continue
-        dists = np.array([d for d, _ in pairs], dtype=np.float64)
-        idx = np.array([t for _, t in pairs], dtype=np.int64)
-        order = np.lexsort((idx, dists))
-        packed.append((dists[order], idx[order]))
-
-    return RangeResult.from_rows(packed, stats=stats, method=method)
+        packed = []
+        for pairs in values:
+            if not pairs:
+                packed.append((np.empty(0, dtype=np.float64),
+                               np.empty(0, dtype=np.int64)))
+                continue
+            dists = np.array([d for d, _ in pairs], dtype=np.float64)
+            idx = np.array([t for _, t in pairs], dtype=np.int64)
+            order = np.lexsort((idx, dists))
+            packed.append((dists[order], idx[order]))
+        return RangeResult.from_rows(packed, stats=stats, method=self.method)
 
 
 # ----------------------------------------------------------------------
@@ -200,11 +164,10 @@ def range_join(queries, targets, eps, rng, mq=None, mt=None, plan=None,
     with a *computed* ``d <= eps`` are accepted.  Rows are sorted by
     (distance, index).
     """
-    return _predicate_join(queries, targets, EpsilonRangePredicate(eps),
-                           rng, mq=mq, mt=mt, plan=plan,
-                           query_subset=query_subset,
-                           account_prepare=account_prepare,
-                           method="range-join")
+    level2 = PredicateScan(EpsilonRangePredicate(eps), "range-join")
+    return ti_knn_join(queries, targets, 0, rng, mq=mq, mt=mt, plan=plan,
+                       query_subset=query_subset,
+                       account_prepare=account_prepare, level2=level2)
 
 
 def self_range_join(points, eps, rng, mq=None, mt=None, plan=None,
@@ -216,11 +179,11 @@ def self_range_join(points, eps, rng, mq=None, mt=None, plan=None,
     contains both directed pairs, like the plain range join minus the
     diagonal.
     """
-    return _predicate_join(points, points, EpsilonRangePredicate(eps),
-                           rng, mq=mq, mt=mt, plan=plan,
-                           query_subset=query_subset,
-                           account_prepare=account_prepare,
-                           method="self-join-eps", self_join=True)
+    level2 = PredicateScan(EpsilonRangePredicate(eps), "self-join-eps",
+                           self_join=True)
+    return ti_knn_join(points, points, 0, rng, mq=mq, mt=mt, plan=plan,
+                       query_subset=query_subset,
+                       account_prepare=account_prepare, level2=level2)
 
 
 def reverse_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
@@ -231,11 +194,10 @@ def reverse_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
     excluded — is derived deterministically from the prepared plan, so
     sharded execution reproduces the serial thresholds bit-for-bit.
     """
-    return _predicate_join(queries, targets, ReverseKNNPredicate(k),
-                           rng, mq=mq, mt=mt, plan=plan,
-                           query_subset=query_subset,
-                           account_prepare=account_prepare,
-                           method="rknn", k_stat=int(k))
+    level2 = PredicateScan(ReverseKNNPredicate(k), "rknn")
+    return ti_knn_join(queries, targets, k, rng, mq=mq, mt=mt, plan=plan,
+                       query_subset=query_subset,
+                       account_prepare=account_prepare, level2=level2)
 
 
 # ----------------------------------------------------------------------

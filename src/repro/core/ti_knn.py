@@ -8,7 +8,10 @@ the source of the filtering-decision counters.
 
 Use :func:`ti_knn_join` for the end-to-end join, or
 :func:`prepare_clusters` to reuse the Step-1 state across runs (the
-sensitivity benches sweep k over fixed clusters).
+sensitivity benches sweep k over fixed clusters).  ``ti_knn_join`` is
+also the one driver of every host TI engine: the flat and native tiers
+(:mod:`repro.native.engine`) and the predicate joins
+(:mod:`repro.core.joins`) pass it their own :class:`Level2` stage.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .landmarks import determine_landmark_count, select_landmarks_random_spread
 from .predicates import TopKPredicate
 from .result import JoinStats, KNNResult
 
-__all__ = ["JoinPlan", "prepare_clusters", "ti_knn_join", "ENGINE"]
+__all__ = ["JoinPlan", "prepare_clusters", "ti_knn_join", "TIJoin", "Level2",
+           "TopKScan", "ENGINE"]
 
 
 @dataclass
@@ -141,10 +145,101 @@ def prepare_clusters(queries, targets, rng, mq=None, mt=None,
                     center_dists=cdist)
 
 
+@dataclass
+class TIJoin:
+    """One :func:`ti_knn_join` call as its level-2 stage sees it."""
+
+    queries: np.ndarray
+    plan: JoinPlan
+    state: object          # the stage predicate's Level1State
+    active: np.ndarray     # scanned query ids, in result-row order
+    active_mask: np.ndarray
+    local_row: np.ndarray  # query id -> result row (-1 when inactive)
+    stats: JoinStats
+    account_prepare: bool
+
+
+class Level2:
+    """The level-2 stage an engine hands to :func:`ti_knn_join`.
+
+    The driver owns everything around level 2: validation, the Step-1
+    plan, the level-1 state of :attr:`predicate`, the active subset,
+    the per-query-cluster loop with its batched centre-distance rows,
+    and the counter accounting.  A stage supplies the per-query scan
+    (:meth:`scan_query`) and the result (:meth:`pack`); a kernel that
+    scans every query in one launch overrides :meth:`scan` instead.
+    A stage object serves one call.
+    """
+
+    #: ``JoinStats.k`` (and the driver's ``k <= |T|`` check).
+    k = 0
+    predicate = None
+
+    def scan(self, join, work):
+        """Yield ``(q, value, trace)`` for every scanned query.
+
+        ``work`` yields the driver's per-query-cluster items
+        ``(qc, scanned, rows, cand, ub)``: the active members, their
+        centre-distance rows, the level-1 survivors and the bound.
+        """
+        scan_query = self.scan_query
+        for qc, scanned, rows, cand, ub in work:
+            for local, q in enumerate(scanned):
+                value, trace = scan_query(join, q, qc, rows[local], cand, ub)
+                yield q, value, trace
+
+    def scan_query(self, join, q, qc, row, cand, ub):
+        """``(value, trace)`` of query ``q``'s level-2 scan."""
+        raise NotImplementedError
+
+    def pack(self, join, values):
+        """The join result from the per-row values."""
+        raise NotImplementedError
+
+
+class TopKScan(Level2):
+    """Top-k level 2, interpreted (``ti-cpu``; the counter reference).
+
+    ``filter_strength`` picks Algorithm 2's updating θ
+    (:func:`~repro.core.filters.point_filter_full`) or Sweet KNN's
+    partial filter (:func:`~repro.core.filters.point_filter_partial`).
+    """
+
+    label = "ti-knn-cpu"
+
+    def __init__(self, k, filter_strength="full"):
+        self.predicate = TopKPredicate(k)
+        self.k = self.predicate.k
+        if filter_strength not in ("full", "partial"):
+            raise ValueError("filter_strength must be 'full' or 'partial'")
+        self.full = filter_strength == "full"
+        self.method = "%s/%s" % (self.label, filter_strength)
+
+    def scan_query(self, join, q, qc, row, cand, ub):
+        query_point = join.queries[q]
+        ct = join.plan.target_clusters
+        if self.full:
+            heap, trace = point_filter_full(
+                query_point, q, ct, cand, ub, self.k, center_dists_row=row)
+            return heap.sorted_items(), trace
+        dists, idx, trace = point_filter_partial(
+            query_point, q, ct, cand, ub, self.k, center_dists_row=row)
+        return (dists, idx), trace
+
+    def pack(self, join, values):
+        distances, indices = KNNResult.pack(values, self.k)
+        return KNNResult(distances=distances, indices=indices,
+                         stats=join.stats, method=self.method)
+
+
 def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
                 filter_strength="full", query_subset=None,
-                account_prepare=True):
+                account_prepare=True, level2=None):
     """Sequential TI-based KNN join (the full Fig. 4 pipeline).
+
+    The one driver of every host TI join: the reference, flat and
+    native top-k engines and the predicate joins differ only in the
+    ``level2`` stage they pass.
 
     Parameters
     ----------
@@ -169,24 +264,27 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
         Count the Step-1/level-1 preparation in the returned stats.
         Batched execution sets this on the first tile only so merged
         counters equal the unbatched totals.
+    level2:
+        Optional :class:`Level2` stage; defaults to
+        ``TopKScan(k, filter_strength)``.  A given stage carries its
+        own ``k`` and filter.
 
     Returns
     -------
     KNNResult
+        Or whatever the stage packs (a ``RangeResult`` for the
+        predicate joins).
     """
     queries = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    k = int(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > len(targets):
+    if level2 is None:
+        level2 = TopKScan(k, filter_strength)
+    if level2.k > len(targets):
         raise ValueError("k cannot exceed the number of target points")
-    if filter_strength not in ("full", "partial"):
-        raise ValueError("filter_strength must be 'full' or 'partial'")
 
     if plan is None:
         plan = prepare_clusters(queries, targets, rng, mq=mq, mt=mt)
-    ubs_all, candidates = plan.level1(k)
+    state = plan.level1_for(level2.predicate)
 
     n_q = len(queries)
     if query_subset is None:
@@ -200,64 +298,59 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
 
     cq, ct = plan.query_clusters, plan.target_clusters
     stats = JoinStats(
-        n_queries=len(active), n_targets=len(targets), k=k,
+        n_queries=len(active), n_targets=len(targets), k=level2.k,
         dim=queries.shape[1], mq=plan.mq, mt=plan.mt,
         init_distance_computations=(
             (cq.init_distance_computations + ct.init_distance_computations)
             if account_prepare else 0),
         candidate_cluster_pairs=(
-            int(sum(c.size for c in candidates)) if account_prepare else 0),
+            state.candidate_pairs() if account_prepare else 0),
     )
-
     target_sizes = np.asarray(ct.cluster_sizes(), dtype=np.int64)
 
-    per_query = [None] * len(active)
-    for qc in range(cq.n_clusters):
-        ub = ubs_all[qc]
-        cand = candidates[qc]
-        members = cq.members[qc]
-        scanned = members[active_mask[members]] if members.size else members
-        if scanned.size == 0:
-            continue
-        # Points inside this cluster's level-1 survivors: the funnel's
-        # "level-1 survivor pairs" contribution of each member query.
-        cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
-        # Algorithm 2 line 6 computes the query-to-centre distances
-        # inside the scan; precomputing the rows — batched over every
-        # active member of this cluster — keeps the counters identical
-        # while letting numpy do the arithmetic once per cluster.
-        rows = center_distance_rows(queries[scanned], ct, cand)
-        for local, q in enumerate(scanned):
-            stats.level1_survivor_pairs += cluster_pairs
-            query_point = queries[q]
-            row = rows[local]
-            if filter_strength == "full":
-                heap, trace = point_filter_full(
-                    query_point, q, ct, cand, ub, k, center_dists_row=row)
-                per_query[local_row[q]] = heap.sorted_items()
-            else:
-                dists, idx, trace = point_filter_partial(
-                    query_point, q, ct, cand, ub, k, center_dists_row=row)
-                per_query[local_row[q]] = (dists, idx)
-            stats.level2_distance_computations += trace.distance_computations
-            stats.center_distance_computations += (
-                trace.center_distance_computations)
-            stats.examined_points += trace.examined
-            stats.heap_updates += trace.heap_updates
-            stats.predicate_accepted_pairs += trace.accepted
+    def work():
+        for qc in range(cq.n_clusters):
+            members = cq.members[qc]
+            scanned = (members[active_mask[members]] if members.size
+                       else members)
+            if scanned.size == 0:
+                continue
+            cand = state.candidates[qc]
+            # Points inside this cluster's level-1 survivors: the
+            # funnel's "level-1 survivor pairs", once per member query.
+            cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
+            stats.level1_survivor_pairs += cluster_pairs * int(scanned.size)
+            # Algorithm 2 line 6 computes the query-to-centre distances
+            # inside the scan; precomputing the rows — batched over every
+            # active member of this cluster — keeps the counters identical
+            # while letting numpy do the arithmetic once per cluster.
+            rows = center_distance_rows(queries[scanned], ct, cand)
+            yield qc, scanned, rows, cand, state.bounds[qc]
 
-    distances, indices = KNNResult.pack(per_query, k)
-    return KNNResult(distances=distances, indices=indices, stats=stats,
-                     method="ti-knn-cpu/%s" % filter_strength)
+    join = TIJoin(queries=queries, plan=plan, state=state, active=active,
+                  active_mask=active_mask, local_row=local_row, stats=stats,
+                  account_prepare=account_prepare)
+    values = [None] * len(active)
+    for q, value, trace in level2.scan(join, work()):
+        values[local_row[q]] = value
+        stats.level2_distance_computations += trace.distance_computations
+        stats.center_distance_computations += (
+            trace.center_distance_computations)
+        stats.examined_points += trace.examined
+        stats.heap_updates += trace.heap_updates
+        stats.predicate_accepted_pairs += trace.accepted
+    return level2.pack(join, values)
 
 
 # ----------------------------------------------------------------------
 # Engine registration (see repro.engine)
 # ----------------------------------------------------------------------
-def _run_engine(queries, targets, k, ctx, **options):
+def _run_engine(queries, targets, k, ctx, filter_strength="full",
+                **options):
     return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
                        query_subset=ctx.query_subset,
-                       account_prepare=ctx.account_prepare, **options)
+                       account_prepare=ctx.account_prepare,
+                       level2=TopKScan(k, filter_strength), **options)
 
 
 ENGINE = EngineSpec(

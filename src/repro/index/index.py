@@ -27,6 +27,7 @@ per-worker plan cache both invalidate on it.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 
@@ -413,7 +414,7 @@ class Index:
                 % (points.shape[1], self.dim))
         with obs.span("index.update", op="add", rows=int(len(points))):
             self._materialize()
-            ct = self.target_clusters
+            ct = self._next_clusters()
             block = pairwise_distances(points, ct.centers)
             assignment = np.argmin(block, axis=1)
             dists = block[np.arange(len(points)), assignment]
@@ -460,7 +461,7 @@ class Index:
             raise ValidationError("cannot remove every target point")
         with obs.span("index.update", op="remove", rows=int(row_ids.size)):
             self._materialize()
-            ct = self.target_clusters
+            ct = self._next_clusters()
             self._tombstones[row_ids] = True
             self._dead_since_rebuild += int(row_ids.size)
             for cid in np.unique(ct.assignment[row_ids]):
@@ -478,6 +479,21 @@ class Index:
         self.version += 1
         self._publish_gauges()
         return self
+
+    def _next_clusters(self):
+        """Install and return a copy of the clustered set to update.
+
+        Layouts derived from a :class:`ClusteredSet` (the flat tier's
+        :func:`~repro.native.layout.flat_targets`) are memoized per
+        object and treat it as immutable, so each version gets its own
+        object: member lists and radii are copied, the arrays an update
+        replaces wholesale are shared.
+        """
+        ct = self.target_clusters
+        self.target_clusters = dataclasses.replace(
+            ct, members=list(ct.members), member_dists=list(ct.member_dists),
+            radius=np.array(ct.radius))
+        return self.target_clusters
 
     def _bump(self):
         self.version += 1

@@ -28,13 +28,13 @@ tests/native/ asserts.
 
 from __future__ import annotations
 
-from .engine import ENGINES, native_knn_join
+from .engine import ENGINES
 from .layout import FlatTargets, flat_targets
 from .support import (native_compile_seconds, numba_available,
                      warm_up_kernels)
 
 __all__ = [
-    "ENGINES", "native_knn_join",
+    "ENGINES",
     "FlatTargets", "flat_targets",
     "numba_available", "native_compile_seconds", "warm_up_kernels",
 ]

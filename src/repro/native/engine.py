@@ -1,16 +1,13 @@
-"""The native-tier KNN join driver and its engine registrations.
+"""The flat and native level-2 stages and their engine registrations.
 
-:func:`native_knn_join` is :func:`repro.core.ti_knn.ti_knn_join` with
-the level-2 scan swapped for the flat-layout kernels: the same Step-1
-plan, the same level-1 filter, the same per-cluster
-``center_distance_rows`` batching and the same counter accounting —
-only the member scan and k-select run over the
-:class:`~repro.native.layout.FlatTargets` CSR pack, either as the
-vectorized numpy fallback (``tier="flat"``) or as the numba kernels
-(``tier="native"``), which process every query of the join in one
-``prange`` launch.
-
-Four engines register (see :mod:`repro.engine.builtin`):
+The four engines below run :func:`repro.core.ti_knn.ti_knn_join` — the
+same Step-1 plan, level-1 filter, per-cluster ``center_distance_rows``
+batching and counter accounting as ``ti-cpu`` — with a level-2 stage
+that scans the :class:`~repro.native.layout.FlatTargets` CSR pack
+instead of the clustered set's ragged member lists: the vectorized
+numpy kernels one query at a time (:class:`FlatScan`), or the numba
+kernels over every query of the join in one ``prange`` launch
+(:class:`NativeScan`).
 
 ======================  =======  =========  ==================
 name                    filter   kernels    availability
@@ -35,205 +32,108 @@ import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
 from ..errors import EngineUnavailableError
-from ..core.filters import center_distance_rows
-from ..core.result import JoinStats, KNNResult
-from ..core.ti_knn import prepare_clusters
+from ..core.filters import ScanTrace
+from ..core.ti_knn import TopKScan, ti_knn_join
 from .layout import flat_targets
 from .scan_numpy import heap_sorted_items, scan_query_full, scan_query_partial
 from .support import (NUMBA_INSTALL_HINT, native_compile_seconds,
                       numba_available)
 
-__all__ = ["native_knn_join", "ENGINES"]
+__all__ = ["FlatScan", "NativeScan", "ENGINES"]
 
 
-def native_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
-                    filter_strength="full", query_subset=None,
-                    account_prepare=True, tier="flat"):
-    """TI KNN join over the flat kernel tier.
+class FlatScan(TopKScan):
+    """Top-k level 2 over the flat layout, vectorized numpy per query."""
 
-    Parameters are those of :func:`~repro.core.ti_knn.ti_knn_join`
-    plus ``tier``: ``"flat"`` (vectorized numpy, always available) or
-    ``"native"`` (numba JIT; raises
-    :class:`~repro.errors.EngineUnavailableError` when numba is
-    absent).  Results and work counters are bit-identical to the
-    reference join at the same ``filter_strength``.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    k = int(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > len(targets):
-        raise ValueError("k cannot exceed the number of target points")
-    if filter_strength not in ("full", "partial"):
-        raise ValueError("filter_strength must be 'full' or 'partial'")
-    if tier not in ("flat", "native"):
-        raise ValueError("tier must be 'flat' or 'native'")
-    engine_label = "%s-%s" % ("ti" if filter_strength == "full" else "sweet",
-                              tier)
-    if tier == "native" and not numba_available():
-        fallback = engine_label.replace("-native", "-flat")
-        raise EngineUnavailableError(engine_label, ("numba",),
-                                     hint=NUMBA_INSTALL_HINT % fallback)
+    label = "flat"
 
-    if plan is None:
-        plan = prepare_clusters(queries, targets, rng, mq=mq, mt=mt)
-    ubs_all, candidates = plan.level1(k)
+    def __init__(self, k, filter_strength="full"):
+        super().__init__(k, filter_strength)
+        self.engine = "%s-%s" % ("ti" if self.full else "sweet", self.label)
+        self.method = "%s/%s" % (self.engine, filter_strength)
 
-    n_q = len(queries)
-    if query_subset is None:
-        active = np.arange(n_q)
-    else:
-        active = np.asarray(query_subset, dtype=np.int64)
-    active_mask = np.zeros(n_q, dtype=bool)
-    active_mask[active] = True
-    local_row = np.full(n_q, -1, dtype=np.int64)
-    local_row[active] = np.arange(len(active))
+    def scan(self, join, work):
+        join.stats.extra["kernel_tier"] = "numpy-flat"
+        self.flat = flat_targets(join.plan.target_clusters)
+        self.kernel = scan_query_full if self.full else scan_query_partial
+        return super().scan(join, work)
 
-    cq, ct = plan.query_clusters, plan.target_clusters
-    stats = JoinStats(
-        n_queries=len(active), n_targets=len(targets), k=k,
-        dim=queries.shape[1], mq=plan.mq, mt=plan.mt,
-        init_distance_computations=(
-            (cq.init_distance_computations + ct.init_distance_computations)
-            if account_prepare else 0),
-        candidate_cluster_pairs=(
-            int(sum(c.size for c in candidates)) if account_prepare else 0),
-    )
-    target_sizes = np.asarray(ct.cluster_sizes(), dtype=np.int64)
-    flat = flat_targets(ct)
-    full = filter_strength == "full"
-    compile_before = native_compile_seconds()
-
-    per_query = [None] * len(active)
-    if tier == "flat":
-        _run_flat(queries, k, cq, ct, flat, ubs_all, candidates, active_mask,
-                  local_row, target_sizes, full, stats, per_query)
-    else:
-        _run_native(queries, k, cq, ct, flat, ubs_all, candidates,
-                    active_mask, local_row, target_sizes, full, stats,
-                    per_query)
-
-    stats.extra["kernel_tier"] = "native" if tier == "native" else "numpy-flat"
-    if tier == "native" and account_prepare:
-        stats.extra["native_compile_s"] = round(
-            native_compile_seconds() - compile_before, 6)
-
-    distances, indices = KNNResult.pack(per_query, k)
-    return KNNResult(distances=distances, indices=indices, stats=stats,
-                     method="%s/%s" % (engine_label, filter_strength))
+    def scan_query(self, join, q, qc, row, cand, ub):
+        dists, idx, trace = self.kernel(self.flat, join.queries[q], row,
+                                        cand, ub, self.k)
+        return (dists, idx), trace
 
 
-def _account(stats, dcomp, cdc, examined, updates, accepted):
-    stats.level2_distance_computations += dcomp
-    stats.center_distance_computations += cdc
-    stats.examined_points += examined
-    stats.heap_updates += updates
-    stats.predicate_accepted_pairs += accepted
+class NativeScan(FlatScan):
+    """Top-k level 2 as one numba ``prange`` launch over every query."""
 
+    label = "native"
 
-def _run_flat(queries, k, cq, ct, flat, ubs_all, candidates, active_mask,
-              local_row, target_sizes, full, stats, per_query):
-    """Per-query vectorized scans (the numpy fallback tier)."""
-    for qc in range(cq.n_clusters):
-        ub = ubs_all[qc]
-        cand = candidates[qc]
-        members = cq.members[qc]
-        scanned = members[active_mask[members]] if members.size else members
-        if scanned.size == 0:
-            continue
-        cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
-        rows = center_distance_rows(queries[scanned], ct, cand)
-        for local, q in enumerate(scanned):
-            stats.level1_survivor_pairs += cluster_pairs
-            scan = scan_query_full if full else scan_query_partial
-            dists, idx, trace = scan(flat, queries[q], rows[local], cand,
-                                     ub, k)
-            per_query[local_row[q]] = (dists, idx)
-            _account(stats, trace.distance_computations,
-                     trace.center_distance_computations, trace.examined,
-                     trace.heap_updates, trace.accepted)
+    def __init__(self, k, filter_strength="full"):
+        super().__init__(k, filter_strength)
+        if not numba_available():
+            fallback = self.engine.replace("-native", "-flat")
+            raise EngineUnavailableError(self.engine, ("numba",),
+                                         hint=NUMBA_INSTALL_HINT % fallback)
 
+    def scan(self, join, work):
+        from . import scan_numba
+        from .scan_numba import (COL_ACCEPTED, COL_CDC, COL_DCOMP,
+                                 COL_EXAMINED)
 
-def _run_native(queries, k, cq, ct, flat, ubs_all, candidates, active_mask,
-                local_row, target_sizes, full, stats, per_query):
-    """One prange launch over every active query (the numba tier)."""
-    from . import scan_numba
-    from .scan_numba import (COL_ACCEPTED, COL_CDC, COL_DCOMP, COL_EXAMINED)
+        join.stats.extra["kernel_tier"] = "native"
+        flat = flat_targets(join.plan.target_clusters)
+        compile_before = native_compile_seconds()
+        scanned = ()
+        items = list(work)
+        if items:
+            # One row per scanned query; its candidates are a segment of
+            # the concatenated per-cluster candidate lists.
+            _, scanned, rows, cands, ubs = zip(*items)
+            repeats = [part.size for part in scanned]
+            sizes = [cand.size for cand in cands]
+            seg_end = np.cumsum(sizes, dtype=np.int64)
+            scanned = np.concatenate(scanned)
+            args = (flat, join.queries[scanned], np.vstack(rows),
+                    np.repeat(np.asarray(ubs, dtype=np.float64), repeats),
+                    np.concatenate(cands).astype(np.int64, copy=False),
+                    np.repeat(seg_end - sizes, repeats),
+                    np.repeat(seg_end, repeats), self.k)
+            scan_numba.warm_up(join.queries.shape[1])
+            if self.full:
+                out_d, out_i, counters = scan_numba.run_full(*args)
+            else:
+                out_d, out_i, out_counts, counters = \
+                    scan_numba.run_partial(*args)
+        if join.account_prepare:
+            join.stats.extra["native_compile_s"] = round(
+                native_compile_seconds() - compile_before, 6)
 
-    q_parts = []
-    row_parts = []
-    cand_parts = []
-    ub_vals = []
-    seg_start = []
-    seg_end = []
-    pairs_per_query = []
-    scanned_all = []
-    cand_off = 0
-    for qc in range(cq.n_clusters):
-        cand = candidates[qc]
-        members = cq.members[qc]
-        scanned = members[active_mask[members]] if members.size else members
-        if scanned.size == 0:
-            continue
-        cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
-        rows = center_distance_rows(queries[scanned], ct, cand)
-        q_parts.append(queries[scanned])
-        row_parts.append(rows)
-        cand_parts.append(np.asarray(cand, dtype=np.int64))
-        n_scanned = int(scanned.size)
-        ub_vals.extend([float(ubs_all[qc])] * n_scanned)
-        seg_start.extend([cand_off] * n_scanned)
-        seg_end.extend([cand_off + int(cand.size)] * n_scanned)
-        pairs_per_query.extend([cluster_pairs] * n_scanned)
-        scanned_all.extend(int(q) for q in scanned)
-        cand_off += int(cand.size)
-    if not scanned_all:
-        return
-
-    q_points = np.ascontiguousarray(np.vstack(q_parts))
-    rows_all = np.ascontiguousarray(np.vstack(row_parts))
-    if cand_off:
-        cand_flat = np.concatenate(cand_parts)
-    else:
-        cand_flat = np.empty(0, dtype=np.int64)
-    ub_arr = np.asarray(ub_vals, dtype=np.float64)
-    cand_start = np.asarray(seg_start, dtype=np.int64)
-    cand_end = np.asarray(seg_end, dtype=np.int64)
-
-    scan_numba.warm_up(queries.shape[1])
-    if full:
-        out_d, out_i, counters = scan_numba.run_full(
-            flat, q_points, rows_all, ub_arr, cand_flat, cand_start,
-            cand_end, k)
-    else:
-        out_d, out_i, out_counts, counters = scan_numba.run_partial(
-            flat, q_points, rows_all, ub_arr, cand_flat, cand_start,
-            cand_end, k)
-
-    for i, q in enumerate(scanned_all):
-        stats.level1_survivor_pairs += pairs_per_query[i]
-        accepted = int(counters[i, COL_ACCEPTED])
-        _account(stats, int(counters[i, COL_DCOMP]),
-                 int(counters[i, COL_CDC]), int(counters[i, COL_EXAMINED]),
-                 accepted if full else 0, accepted)
-        if full:
-            per_query[local_row[q]] = heap_sorted_items(out_d[i], out_i[i])
-        else:
-            kept = int(out_counts[i])
-            per_query[local_row[q]] = (out_d[i, :kept], out_i[i, :kept])
+        for i, q in enumerate(scanned):
+            accepted = int(counters[i, COL_ACCEPTED])
+            trace = ScanTrace(
+                examined=int(counters[i, COL_EXAMINED]),
+                distance_computations=int(counters[i, COL_DCOMP]),
+                center_distance_computations=int(counters[i, COL_CDC]),
+                heap_updates=accepted if self.full else 0,
+                accepted=accepted)
+            if self.full:
+                value = heap_sorted_items(out_d[i], out_i[i])
+            else:
+                kept = int(out_counts[i])
+                value = (out_d[i, :kept], out_i[i, :kept])
+            yield q, value, trace
 
 
 # ----------------------------------------------------------------------
 # Engine registration (see repro.engine.builtin)
 # ----------------------------------------------------------------------
-def _make_run(tier, strength):
-    def _run(queries, targets, k, ctx, **options):
-        options.setdefault("filter_strength", strength)
-        return native_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
-                               query_subset=ctx.query_subset,
-                               account_prepare=ctx.account_prepare,
-                               tier=tier, **options)
+def _make_run(stage, strength):
+    def _run(queries, targets, k, ctx, filter_strength=strength, **options):
+        return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
+                           query_subset=ctx.query_subset,
+                           account_prepare=ctx.account_prepare,
+                           level2=stage(k, filter_strength), **options)
     return _run
 
 
@@ -258,24 +158,24 @@ _SWEET_NATIVE_CAPS = EngineCaps(
 ENGINES = (
     EngineSpec(
         name="ti-flat",
-        run=_make_run("flat", "full"),
+        run=_make_run(FlatScan, "full"),
         caps=_TI_FLAT_CAPS,
         description="flat-layout vectorized TI KNN (full filter; numpy "
                     "fallback of the native tier)"),
     EngineSpec(
         name="sweet-flat",
-        run=_make_run("flat", "partial"),
+        run=_make_run(FlatScan, "partial"),
         caps=_SWEET_FLAT_CAPS,
         description="flat-layout vectorized Sweet KNN partial filter "
                     "(numpy fallback of the native tier)"),
     EngineSpec(
         name="ti-native",
-        run=_make_run("native", "full"),
+        run=_make_run(NativeScan, "full"),
         caps=_TI_NATIVE_CAPS,
         description="numba-jitted TI KNN (full filter; requires numba)"),
     EngineSpec(
         name="sweet-native",
-        run=_make_run("native", "partial"),
+        run=_make_run(NativeScan, "partial"),
         caps=_SWEET_NATIVE_CAPS,
         description="numba-jitted Sweet KNN partial filter (requires "
                     "numba)"),

@@ -13,7 +13,10 @@ memoized per :class:`ClusteredSet` *object* (validated by a weak
 reference, the idiom of :mod:`repro.index.fingerprint`): a prepared
 plan queried many times — or sliced into query batches/shards — packs
 once per process.  The memo treats the clustered set as immutable,
-the contract every prepared plan already imposes.
+the contract every prepared plan already imposes;
+:meth:`repro.index.Index.add` / :meth:`~repro.index.Index.remove`
+keep it by installing a new clustered set per version, so an updated
+index packs once per version.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ reference (:func:`repro.core.filters.point_scan`):
   elementwise bit-equal to the reference's per-pair
   ``sqrt(np.dot(diff, diff))`` (both reduce through the same dot
   kernel) — unlike ``einsum``, whose SIMD reduction order can differ
-  in the last ulp;
+  in the last ulp.  ``diffs`` is the gathered window minus the query,
+  in place (no second temporary): ``t - q`` is the exact negation of
+  the reference's ``q - t``, so the squares are the same bits;
 * the pruning limit ``θ + tol`` is refreshed exactly when the
   accumulator state changes (a successful heap push), which is the
   hoisted form of the reference loop (see ``point_scan``) — identical
@@ -193,7 +195,8 @@ def scan_query_full(flat, query_point, row, cand, ub, k):
                 if win_end > size:
                     win_end = size
                 w_idx_arr = member_idx[start + win_start:start + win_end]
-                diffs = qp - points[w_idx_arr]
+                diffs = points[w_idx_arr]
+                diffs -= qp
                 w_dists = np.sqrt(
                     (diffs[:, None, :] @ diffs[:, :, None]).ravel()).tolist()
                 w_idx = w_idx_arr.tolist()
@@ -270,7 +273,8 @@ def scan_query_partial(flat, query_point, row, cand, ub, k):
             trace.distance_computations += survivors
             trace.accepted += survivors
             w_idx = member_idx[start + skip_end:start + stop]
-            diffs = qp - points[w_idx]
+            diffs = points[w_idx]
+            diffs -= qp
             kept_dists.append(np.sqrt(
                 (diffs[:, None, :] @ diffs[:, :, None]).ravel()))
             kept_idx.append(w_idx)

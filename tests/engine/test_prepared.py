@@ -77,6 +77,20 @@ class TestSweetKNNReuse:
         assert index._join_plans[-1][-1] is first
         assert len(index._join_plans) == 1
 
+    def test_update_drops_join_plans_of_earlier_versions(
+            self, clustered_points, rng):
+        """Each index version has its own clustered target set; a cached
+        plan of an earlier version would keep it alive for nothing."""
+        index = SweetKNN(clustered_points, seed=0)
+        dim = clustered_points.shape[1]
+        index.query(rng.normal(size=(20, dim)), 3)
+        index.query(rng.normal(size=(20, dim)), 3)
+        index.index.add(rng.normal(size=(4, dim)))
+        index.query(rng.normal(size=(20, dim)), 3)
+        assert len(index._join_plans) == 1
+        assert (index._join_plans[0][-1].target_clusters
+                is index.index.target_clusters)
+
     def test_execution_plans_cached_per_shape(self, clustered_points, rng):
         index = SweetKNN(clustered_points, seed=0)
         queries = rng.normal(size=(20, clustered_points.shape[1]))

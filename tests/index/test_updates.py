@@ -16,9 +16,9 @@ def _brute_reference(queries, index, k):
     return result.distances, active[result.indices]
 
 
-def _assert_exact(index, queries, k):
+def _assert_exact(index, queries, k, method="ti-cpu"):
     """The index's engine answer equals brute force over its live set."""
-    knn = SweetKNN.from_index(index, method="ti-cpu")
+    knn = SweetKNN.from_index(index, method=method)
     result = knn.query(queries, k)
     ref_dists, ref_ids = _brute_reference(queries, index, k)
     np.testing.assert_allclose(result.distances, ref_dists,
@@ -131,15 +131,20 @@ class TestRebuildPolicy:
 
 class TestPropertyRandomSequences:
     @pytest.mark.parametrize("trial", range(4))
+    @pytest.mark.parametrize("method", ["ti-cpu", "ti-flat", "sweet-flat"])
     def test_update_sequence_equals_fresh_rebuild(self, clustered_points,
-                                                  trial):
-        """Property: after any random add/remove sequence, queries give
-        exactly the answers of brute force over the mutated live set —
-        i.e. incremental maintenance never drifts from a full rebuild's
-        ground truth."""
+                                                  method, trial):
+        """Property: after every step of a random add/remove sequence,
+        queries give exactly the answers of brute force over the mutated
+        live set — i.e. incremental maintenance never drifts from a full
+        rebuild's ground truth.  Querying between updates also checks
+        that no engine reuses state derived from an earlier version
+        (the flat tier's memoized layout)."""
         rng = np.random.default_rng(1000 + trial)
         dim = clustered_points.shape[1]
         index = Index(clustered_points, seed=trial)
+        queries = rng.normal(size=(30, dim))
+        _assert_exact(index, queries, 6, method)
         for _ in range(6):
             if rng.random() < 0.5:
                 index.add(rng.normal(size=(int(rng.integers(1, 20)), dim)))
@@ -147,8 +152,7 @@ class TestPropertyRandomSequences:
                 active = index.active_ids()
                 take = int(rng.integers(1, max(2, active.size // 10)))
                 index.remove(rng.choice(active, size=take, replace=False))
-        queries = rng.normal(size=(30, dim))
-        _assert_exact(index, queries, 6)
+            _assert_exact(index, queries, 6, method)
         assert index.target_clusters.cluster_sizes().sum() == index.n_active
 
     def test_mutated_index_round_trips_through_disk(self, tmp_path,
