@@ -6,7 +6,9 @@ the per-cluster member lists of a
 (member indices, member distances, cluster offsets) instead of a list
 of ragged ndarrays: one contiguous layout both tiers index with
 ``offsets[tc]:offsets[tc + 1]``, and the only container shape numba
-can compile over.
+can compile over.  A fourth array, ``heads``, holds each cluster's
+first (largest) member distance, so the numpy full scan can test every
+candidate cluster's first member in one vector op.
 
 Packing is O(n) and allocates ~12 bytes per target point, so it is
 memoized per :class:`ClusteredSet` *object* (validated by a weak
@@ -51,12 +53,18 @@ class FlatTargets:
     offsets:
         (m + 1,) int64 row pointer: cluster ``tc``'s members live at
         ``[offsets[tc], offsets[tc + 1])``.
+    heads:
+        (m,) float64 ``member_dists[offsets[tc]]`` per cluster (its
+        largest member distance, where the early break is tested);
+        ``+inf`` for an empty cluster, whose lower bound ``-inf`` is
+        never pruned.
     """
 
     points: np.ndarray
     member_idx: np.ndarray
     member_dists: np.ndarray
     offsets: np.ndarray
+    heads: np.ndarray
 
     @property
     def n_clusters(self):
@@ -79,10 +87,14 @@ def _pack(clustered):
     else:
         member_idx = np.empty(0, dtype=np.int64)
         member_dists = np.empty(0, dtype=np.float64)
+    heads = np.full(sizes.size, np.inf)
+    nonempty = sizes > 0
+    heads[nonempty] = member_dists[offsets[:-1][nonempty]]
     points = np.ascontiguousarray(
         np.asarray(clustered.points, dtype=np.float64))
     return FlatTargets(points=points, member_idx=member_idx,
-                       member_dists=member_dists, offsets=offsets)
+                       member_dists=member_dists, offsets=offsets,
+                       heads=heads)
 
 
 def flat_targets(clustered):

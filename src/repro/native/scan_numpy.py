@@ -7,19 +7,37 @@ per-query heap is a pair of preallocated flat arrays mutated by an
 inline replica of :class:`repro.kselect.KNearestHeap`, and the
 updating bound θ is a local float.
 
-The vectorization is the decision-faithful pattern proven by
-:mod:`repro.core.scan`: ``lb = d(q, c_t) - d(t, c_t)`` ascends along a
-cluster's (descending-sorted) member list, so runs of skips are
-located with ``searchsorted`` and exact distances are computed in
-batched windows.  Windows are consumed in constant-θ *epochs*: θ can
-only tighten on a successful heap push, so everything up to the first
-distance that beats the heap root is bulk-counted, the push is applied,
-and the walk resumes under the refreshed bound — the same decisions as
-the sequential loop, one Python iteration per *push* instead of per
-member.  Two details make the output
-bit-identical (results **and** funnel counters) to the sequential
-reference (:func:`repro.core.filters.point_scan`):
+The full scan runs in two stages, each decision-faithful to the
+sequential loop:
 
+* **Head test.**  A cluster's first member has the smallest lower
+  bound ``lb = d(q, c_t) - d(t, c_t)`` (members are sorted by
+  descending distance), so a cluster whose first member already
+  breaks is rejected whole.  Once per query, the first-member bounds
+  ``row[cand] - heads[cand]`` and the comparison slacks of every
+  candidate cluster are computed as two vectors, and one vector
+  compare against the starting θ lists the clusters it lets through.
+  θ only tightens, so an unlisted cluster would break at its first
+  member at any later point too: the runs between listed clusters are
+  counted in bulk (one step and one break each).  A listed cluster is
+  re-tested against the current θ with one float compare before it is
+  walked.
+* **Member walk.**  Only the entered clusters are walked: one Python
+  iteration per examined member, per run of skips and per break.
+  ``lb`` ascends along the member
+  list, so runs of skips are located with ``searchsorted``.  Exact
+  distances are computed in batched windows (up to the first member
+  that breaks under the current θ, at most ``_WINDOW``), lowered to
+  Python floats and reused across θ updates, which change the bounds
+  around a member but never its distance.
+
+Three details make the output bit-identical (results **and** funnel
+counters) to the sequential reference
+(:func:`repro.core.filters.point_scan`):
+
+* the head test's vectors are the reference's scalar expressions
+  applied elementwise (``q2tc - member_dists[0]`` and
+  ``bound_comparison_tol``), so they hold the same bits;
 * window distances use the batched-matmul form
   ``sqrt((diffs[:, None, :] @ diffs[:, :, None]).ravel())``, which is
   elementwise bit-equal to the reference's per-pair
@@ -43,7 +61,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.filters import ScanTrace, bound_comparison_tol
+from ..core.filters import (BOUND_COMPARISON_RTOL, ScanTrace,
+                            bound_comparison_tol)
 
 __all__ = ["scan_query_full", "scan_query_partial", "heap_sorted_items",
            "select_k_flat"]
@@ -138,7 +157,6 @@ def scan_query_full(flat, query_point, row, cand, ub, k):
     heap_idx = [-1] * k
     count = 0
     accepted = 0
-    cdc = 0
     theta = ub
     points = flat.points
     member_idx = flat.member_idx
@@ -152,16 +170,41 @@ def scan_query_full(flat, query_point, row, cand, ub, k):
     breaks = 0
     examined = 0
 
-    for tc in cand:
-        q2tc = row[tc]
-        cdc += 1
-        tol = bound_comparison_tol(q2tc, ub)
+    # Head test.  Every candidate's first-member bound and comparison
+    # slack, elementwise the same IEEE operations as the reference's
+    # ``q2tc - member_dists[0]`` and ``bound_comparison_tol``; one vector
+    # compare lists the clusters whose first member does not break under
+    # the starting θ.  θ only tightens, so every cluster left off the
+    # list also breaks at its first member later.
+    n_cand = len(cand)
+    q2c = row[cand]
+    lb0 = q2c - flat.heads[cand]
+    tols = BOUND_COMPARISON_RTOL * (np.abs(q2c) + abs(ub) + 1.0)
+    entered = np.flatnonzero(~(lb0 > theta + tols)).tolist()
+    q2c = q2c.tolist()
+    lb0 = lb0.tolist()
+    tols = tols.tolist()
+    prev = -1
+    for j in entered:
+        # The unlisted clusters since the previous one: one step and one
+        # break each, counted in bulk.
+        steps += j - prev - 1
+        breaks += j - prev - 1
+        prev = j
+        tol = tols[j]
+        if lb0[j] > theta + tol:
+            # Listed under the starting θ, but the tightened θ rejects
+            # its first member.
+            steps += 1
+            breaks += 1
+            continue
+        tc = cand[j]
         start = offsets[tc]
         end = offsets[tc + 1]
         size = end - start
         if size == 0:
             continue
-        lb = q2tc - member_dists[start:end]
+        lb = q2c[j] - member_dists[start:end]
         lb_list = lb.tolist()
         limit = theta + tol
         pos = 0
@@ -218,8 +261,10 @@ def scan_query_full(flat, query_point, row, cand, ub, k):
                     theta = min(ub, heap_dists[0])
                 limit = theta + tol
             pos += 1
+    steps += n_cand - prev - 1
+    breaks += n_cand - prev - 1
 
-    trace.center_distance_computations = cdc
+    trace.center_distance_computations = n_cand
     trace.steps = steps
     trace.breaks = breaks
     trace.examined = examined

@@ -79,6 +79,37 @@ class TestRemove:
         assert not np.isin(result.indices, removed).any()
         _assert_exact(index, clustered_points[:20], 6)
 
+    def test_emptied_clusters_keep_flat_tier_identical(self,
+                                                      clustered_points,
+                                                      rng):
+        """Removing every member of two target clusters leaves them
+        empty (no rebuild); ``ti-flat`` still matches ``ti-cpu`` in
+        results and every counter."""
+        queries = np.concatenate([
+            clustered_points[:20],
+            rng.normal(size=(20, clustered_points.shape[1]))])
+        results = []
+        # One identically built and updated index per engine: query-side
+        # landmarks are drawn from the index's own RNG.
+        for method in ("ti-cpu", "ti-flat"):
+            index = Index(clustered_points, seed=0,
+                          policy=UpdatePolicy(max_tombstone_fraction=1.0))
+            members = index.target_clusters.members
+            emptied = [tc for tc in range(len(members))
+                       if members[tc].size][:2]
+            index.remove(np.concatenate([members[tc] for tc in emptied]))
+            assert index.build_count == 1
+            sizes = index.target_clusters.cluster_sizes()
+            assert all(sizes[tc] == 0 for tc in emptied)
+            results.append(
+                SweetKNN.from_index(index, method=method).query(queries, 6))
+        reference, flat = results
+        np.testing.assert_array_equal(flat.indices, reference.indices)
+        np.testing.assert_array_equal(flat.distances, reference.distances)
+        counters = [{name: value for name, value in vars(r.stats).items()
+                     if name != "extra"} for r in results]
+        assert counters[0] == counters[1]
+
     def test_remove_validates(self, clustered_points):
         index = Index(clustered_points, seed=0)
         with pytest.raises(ValidationError):

@@ -13,6 +13,12 @@ import numpy as np
 import pytest
 
 from repro import knn_join
+from repro.core.filters import (center_distance_rows, point_filter_full,
+                                point_filter_partial)
+from repro.core.predicates import TopKPredicate
+from repro.core.ti_knn import prepare_clusters
+from repro.native.layout import flat_targets
+from repro.native.scan_numpy import scan_query_full, scan_query_partial
 from repro.obs.funnel import funnel_from_stats
 
 #: (contender, reference options) per filter strength.
@@ -23,6 +29,32 @@ COUNTERS = ("level2_distance_computations", "center_distance_computations",
             "examined_points", "candidate_cluster_pairs",
             "level1_survivor_pairs", "heap_updates",
             "predicate_accepted_pairs")
+
+
+def rounded_mixture(seed, n):
+    """A tie-heavy set: a Gaussian mixture rounded to integers.
+
+    Rounding yields exact duplicate rows and tied distances, and
+    duplicate landmarks leave some target clusters empty.
+    """
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=4.0, size=(6, 3))
+    labels = rng.integers(0, len(centres), size=n)
+    return np.round(centres[labels] + rng.normal(size=(n, 3)))
+
+
+def _serial_case(case, clustered_points, rng):
+    """``(queries, targets, k)`` of one serial parity input."""
+    if case == "blobs":
+        return (rng.normal(size=(60, clustered_points.shape[1])),
+                clustered_points, 7)
+    if case == "rounded-ties":
+        targets = rounded_mixture(21, 400)
+        return np.concatenate([targets[:40], rounded_mixture(22, 40)]), \
+            targets, 7
+    # k = |T|: every target is a neighbour, so no cluster can break.
+    targets = rng.normal(size=(9, 4))
+    return rng.normal(size=(6, 4)), targets, len(targets)
 
 
 def _assert_identical(result, reference):
@@ -36,14 +68,14 @@ def _assert_identical(result, reference):
 
 
 class TestSerialParity:
+    @pytest.mark.parametrize("case", ["blobs", "rounded-ties", "k-all"])
     @pytest.mark.parametrize("method,ref_options", PAIRS)
     def test_bit_identical_to_reference(self, clustered_points, rng,
-                                        method, ref_options):
-        queries = rng.normal(size=(60, clustered_points.shape[1]))
-        reference = knn_join(queries, clustered_points, 7, method="ti-cpu",
+                                        method, ref_options, case):
+        queries, targets, k = _serial_case(case, clustered_points, rng)
+        reference = knn_join(queries, targets, k, method="ti-cpu",
                              seed=5, **ref_options)
-        result = knn_join(queries, clustered_points, 7, method=method,
-                          seed=5)
+        result = knn_join(queries, targets, k, method=method, seed=5)
         _assert_identical(result, reference)
 
     @pytest.mark.parametrize("method,ref_options", PAIRS)
@@ -80,6 +112,91 @@ class TestSerialParity:
         result = knn_join(clustered_points, clustered_points, 4,
                           method=method)
         assert result.stats.extra["kernel_tier"] == "numpy-flat"
+
+
+def _assert_kernels_match(flat, ct, query_point, q, row, cand, ub, k):
+    """Both flat kernels return the reference's arrays and its whole
+    ``ScanTrace`` (``steps`` and ``breaks`` included, which
+    ``JoinStats`` does not aggregate); returns the full scan's trace."""
+    heap, ref_trace = point_filter_full(query_point, q, ct, cand, ub, k,
+                                        center_dists_row=row)
+    ref_d, ref_i = heap.sorted_items()
+    d, i, trace = scan_query_full(flat, query_point, row, cand, ub, k)
+    assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
+    assert vars(trace) == vars(ref_trace)
+    full_trace = trace
+
+    ref_d, ref_i, ref_trace = point_filter_partial(
+        query_point, q, ct, cand, ub, k, center_dists_row=row)
+    d, i, trace = scan_query_partial(flat, query_point, row, cand, ub, k)
+    assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
+    assert vars(trace) == vars(ref_trace)
+    return full_trace
+
+
+def _assert_plan_matches(queries, targets, k, plan_seed):
+    """:func:`_assert_kernels_match` for every query of one plan, with
+    the driver's level-1 candidates and bounds; returns the breaks."""
+    plan = prepare_clusters(queries, targets,
+                            np.random.default_rng(plan_seed))
+    state = plan.level1_for(TopKPredicate(k))
+    ct = plan.target_clusters
+    flat = flat_targets(ct)
+    cq = plan.query_clusters
+    breaks = 0
+    for qc in range(cq.n_clusters):
+        members = cq.members[qc]
+        cand = state.candidates[qc]
+        rows = center_distance_rows(queries[members], ct, cand)
+        for q, row in zip(members, rows):
+            breaks += _assert_kernels_match(
+                flat, ct, queries[q], q, row, cand, state.bounds[qc],
+                k).breaks
+    return breaks
+
+
+class TestKernelTraceParity:
+    def test_scans_match_reference_per_query(self):
+        rng = np.random.default_rng(31)
+        centres = rng.normal(scale=8.0, size=(12, 6))
+        targets = centres[rng.integers(0, 12, size=600)] + \
+            rng.normal(size=(600, 6))
+        queries = centres[rng.integers(0, 12, size=80)] + \
+            rng.normal(size=(80, 6))
+        # The plan prunes: clusters rejected at their first member occur.
+        assert _assert_plan_matches(queries, targets, 5, plan_seed=3) > 0
+
+    def test_near_tie_bounds_on_decimal_grids(self):
+        # On a 1-D grid of decimal multiples, ``d(q, c) - d(t, c)`` and
+        # θ are often the same real number rounded along different
+        # paths, so the comparison slack decides the head test.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for scale in (0.1, 0.7):
+                targets = rng.integers(0, 30, size=(60, 1)) * scale
+                queries = rng.integers(0, 30, size=(20, 1)) * scale
+                _assert_plan_matches(queries, targets, 3, plan_seed=0)
+
+    def test_empty_clusters_and_unbounded_theta(self):
+        # Level 1 never passes an empty cluster, and through the driver
+        # the bound stays finite even at k = |T|; the kernels must
+        # still agree when handed every cluster and an infinite bound.
+        targets = rounded_mixture(21, 400)
+        queries = rounded_mixture(22, 30)
+        k = 4
+        plan = prepare_clusters(queries, targets, np.random.default_rng(0))
+        ct = plan.target_clusters
+        flat = flat_targets(ct)
+        assert (flat.sizes() == 0).any()
+        every = np.arange(ct.n_clusters)
+        rows = center_distance_rows(queries, ct, every)
+        ubs = plan.level1_for(TopKPredicate(k)).bounds
+        for qc in range(plan.query_clusters.n_clusters):
+            for q in plan.query_clusters.members[qc]:
+                cand = every[np.argsort(rows[q], kind="stable")]
+                for ub in (ubs[qc], np.inf):
+                    _assert_kernels_match(flat, ct, queries[q], q, rows[q],
+                                          cand, ub, k)
 
 
 class TestShardedParity:

@@ -52,9 +52,28 @@ class TestPacking:
         for arr, dtype in ((flat.points, np.float64),
                            (flat.member_idx, np.int64),
                            (flat.member_dists, np.float64),
-                           (flat.offsets, np.int64)):
+                           (flat.offsets, np.int64),
+                           (flat.heads, np.float64)):
             assert arr.dtype == dtype
             assert arr.flags["C_CONTIGUOUS"]
+        assert flat.heads.shape == (flat.n_clusters,)
+
+    def test_heads_are_first_member_distances(self, clustered):
+        # Duplicate landmarks leave some clusters of a tie-heavy set
+        # empty; their head is +inf.
+        rng = np.random.default_rng(21)
+        centres = rng.normal(scale=4.0, size=(6, 3))
+        ties = np.round(centres[rng.integers(0, 6, size=400)] +
+                        rng.normal(size=(400, 3)))
+        with_empty = prepare_clusters(ties, ties, rng).target_clusters
+        assert (flat_targets(with_empty).sizes() == 0).any()
+        for clusters in (clustered, with_empty):
+            flat = flat_targets(clusters)
+            nonempty = flat.sizes() > 0
+            assert np.array_equal(flat.heads[nonempty],
+                                  flat.member_dists[flat.offsets[:-1]
+                                                    [nonempty]])
+            assert np.all(flat.heads[~nonempty] == np.inf)
 
     def test_frozen(self, clustered):
         flat = flat_targets(clustered)
