@@ -1,21 +1,16 @@
-"""Native-compiled kernel tier — flat fallback and numba speedups.
+"""Flat kernel tier — the vectorized level-2 scan against ``ti-cpu``.
 
 Not a paper figure: the paper's level-2 scan runs as CUDA kernels,
-while PR 9's ``repro.native`` package compiles the same Algorithm 2
-loop for the host — a numba-jitted tier (``ti-native`` /
-``sweet-native``) with an always-available vectorized numpy fallback
-(``ti-flat`` / ``sweet-flat``).  Both tiers are exact *and*
-funnel-exact: results and work counters are bit-identical to the
-sequential reference engine.
+while ``repro.native`` restructures the same Algorithm 2 loop for the
+host as a vectorized numpy scan over a flat CSR layout (``ti-flat`` /
+``sweet-flat``).  The tier is exact *and* funnel-exact: results and
+work counters are bit-identical to the sequential reference engine.
 
 This bench records, on the Fig. 9 medium shape (kegg, |Q| = |T| =
 4096, k = 20):
 
-* the numpy flat tier's query-phase speedup over ``ti-cpu`` (asserted
-  >= 2x, always — the fallback must pay for itself);
-* the numba tier's speedup (asserted >= 10x, only when numba is
-  importable; recorded as absent otherwise) with the one-time JIT
-  compile reported separately (``native_compile_s``);
+* the flat tier's query-phase speedup over ``ti-cpu`` (asserted
+  >= 2x — the tier must pay for itself);
 * the bit-identity checks for both filter strengths (the ``sweet-*``
   engines implement the paper's partial filter; their reference is
   ``ti-cpu`` with ``filter_strength="partial"``).
@@ -26,16 +21,13 @@ import pytest
 
 from repro.bench.harness import run_method
 from repro.bench.reporting import emit, emit_json, format_table
-from repro.native.support import numba_available
 
 DATASET = "kegg"   # the Fig. 9 medium shape (4096 x 29 stand-in)
 BASELINE = "ti-cpu"
 K = 20
 
-#: Acceptance floor for the numpy flat tier (always asserted).
+#: Acceptance floor for the flat tier.
 MIN_FLAT_SPEEDUP = 2.0
-#: Acceptance floor for the numba tier (asserted when numba imports).
-MIN_NATIVE_SPEEDUP = 10.0
 
 
 def _assert_identical(reference, contender):
@@ -54,13 +46,11 @@ def test_native_kernels():
                              filter_strength="partial")
     references = {"full": full_ref, "partial": partial_ref}
     contenders = [("ti-flat", "full"), ("sweet-flat", "partial")]
-    if numba_available():
-        contenders += [("ti-native", "full"), ("sweet-native", "partial")]
 
     rows = [[BASELINE + " (full)", "reference",
-             full_ref.query_time_s * 1e3, 0.0, 1.0],
+             full_ref.query_time_s * 1e3, 1.0],
             [BASELINE + " (partial)", "reference",
-             partial_ref.query_time_s * 1e3, 0.0, 1.0]]
+             partial_ref.query_time_s * 1e3, 1.0]]
     runs = [full_ref.payload(), partial_ref.payload()]
     speedups = {}
     for method, strength in contenders:
@@ -70,35 +60,21 @@ def test_native_kernels():
         speedup = reference.query_time_s / record.query_time_s
         speedups[method] = speedup
         rows.append([method, record.kernel_tier,
-                     record.query_time_s * 1e3,
-                     record.native_compile_s * 1e3, speedup])
+                     record.query_time_s * 1e3, speedup])
         payload = record.payload()
         payload["query_speedup"] = round(speedup, 4)
         runs.append(payload)
 
     notes = ["results and funnel counters verified bit-identical to "
              "the %s reference per filter strength" % BASELINE,
-             "speedups are query-phase wall clock; the numba tier's "
-             "one-time JIT compile is reported separately"]
-    if not numba_available():
-        notes.append("numba not importable on this host: the *-native "
-                     "rows are absent, the numpy flat tier is the "
-                     "answering fallback")
+             "speedups are query-phase wall clock"]
     emit("native_kernels", format_table(
-        "Native kernel tier — %s, k=%d (numba %s)"
-        % (DATASET, K,
-           "available" if numba_available() else "not installed"),
-        ["engine", "kernel tier", "query ms", "compile ms", "speedup(x)"],
+        "Flat kernel tier — %s, k=%d" % (DATASET, K),
+        ["engine", "kernel tier", "query ms", "speedup(x)"],
         rows, notes=notes))
     emit_json("native_kernels", {
-        "dataset": DATASET, "baseline": BASELINE, "k": K,
-        "numba_available": bool(numba_available()), "runs": runs})
+        "dataset": DATASET, "baseline": BASELINE, "k": K, "runs": runs})
 
     assert speedups["ti-flat"] >= MIN_FLAT_SPEEDUP, (
         "expected >= %.1fx query-phase speedup from the numpy flat "
         "tier, got %.2fx" % (MIN_FLAT_SPEEDUP, speedups["ti-flat"]))
-    if numba_available():
-        assert speedups["ti-native"] >= MIN_NATIVE_SPEEDUP, (
-            "expected >= %.1fx query-phase speedup from the numba "
-            "tier, got %.2fx"
-            % (MIN_NATIVE_SPEEDUP, speedups["ti-native"]))

@@ -60,14 +60,10 @@ class RunRecord:
     warp_efficiency: float
     prepare_time_s: float = 0.0
     query_time_s: float = 0.0
-    #: Which level-2 scan implementation answered: ``"native"``
-    #: (numba-compiled), ``"numpy-flat"`` (vectorized fallback) or
-    #: ``"reference"`` (the sequential/simulated engines).
+    #: Which level-2 scan implementation answered: ``"numpy-flat"``
+    #: (the flat tier) or ``"reference"`` (the sequential/simulated
+    #: engines).
     kernel_tier: str = "reference"
-    #: One-time numba JIT compile seconds, reported separately so
-    #: ``query_time_s`` stays a steady-state number (0.0 outside the
-    #: native tier's first compile).
-    native_compile_s: float = 0.0
     workers: int = 1
     shards: int = 1
     shard_wall_s: list = field(default_factory=list)
@@ -99,7 +95,6 @@ class RunRecord:
             "saved_fraction": self.saved_fraction,
             "warp_efficiency": self.warp_efficiency,
             "kernel_tier": self.kernel_tier,
-            "native_compile_s": self.native_compile_s,
             "workers": self.workers,
             "shards": self.shards,
             "shard_wall_s": list(self.shard_wall_s),
@@ -184,17 +179,13 @@ def run_method(dataset, method, k, **options):
     # profile; their records report wall clock only.
     profile = result.profile
     extra = result.stats.extra
-    # The native tier's one-time JIT compile lands inside the first
-    # query call; carve it out so query_time_s is steady-state.
-    compile_s = float(extra.get("native_compile_s", 0.0))
     record = RunRecord(
         dataset=dataset, method=method, k=k,
         sim_time_s=profile.sim_time_s if profile is not None else None,
         wall_time_s=prepare_s + query_s,
         prepare_time_s=prepare_s,
-        query_time_s=max(query_s - compile_s, 0.0),
+        query_time_s=query_s,
         kernel_tier=str(extra.get("kernel_tier", "reference")),
-        native_compile_s=compile_s,
         saved_fraction=result.stats.saved_fraction,
         warp_efficiency=(profile.filter_warp_efficiency()
                          if profile is not None else None),

@@ -411,45 +411,12 @@ def _method_arg(parser):
                              "predicted exact engine")
 
 
-def _availability_note(method):
-    """The missing-requirement one-liner for a method, or None."""
-    from .engine import missing_requirements
-
-    missing = missing_requirements(get_engine(method))
-    if not missing:
-        return None
-    note = "method %r requires %s, which is not installed" % (
-        method, ", ".join(missing))
-    if "numba" in missing:
-        from .native.support import NUMBA_INSTALL_HINT
-
-        note += " — %s" % (NUMBA_INSTALL_HINT
-                           % method.replace("-native", "-flat"))
-    return note
-
-
-def _check_method_available(method, out):
-    """Fail fast (exit 2) when an optional engine dependency is absent.
-
-    The ``*-native`` engines declare ``requires=("numba",)``; selecting
-    one on an install without numba prints the one-line remedy instead
-    of an ImportError traceback.
-    """
-    note = _availability_note(method)
-    if note is not None:
-        out.write("%s\n" % note)
-        return 2
-    return 0
-
-
 def _resolve_auto(args, out):
     """Resolve ``--method auto`` to a concrete engine via the scheduler.
 
     The decision is made from the same shape the command is about to
     load (registry datasets carry their real clusterability proxy), so
-    the printed choice is exactly what the run will execute.  The
-    scheduler only considers available engines, so no availability
-    re-check is needed afterwards.
+    the printed choice is exactly what the run will execute.
     """
     if getattr(args, "method", None) != "auto":
         return 0
@@ -629,9 +596,6 @@ def cmd_run(args, out):
     if code:
         return code
     spec = get_engine(args.method)
-    code = _check_method_available(args.method, out)
-    if code:
-        return code
     range_kind = spec.caps.result_kind == "range"
     approximate = spec.caps.approximate
     code = _check_recall_target(args, out)
@@ -888,15 +852,6 @@ def cmd_compare(args, out):
     rows = []
     for method in args.methods:
         spec = get_engine(method)
-        note = _availability_note(method)
-        if note is not None:
-            if method == args.methods[0]:
-                # The first method anchors the speedup column; without
-                # it the comparison is meaningless.
-                out.write("%s\n" % note)
-                return 2
-            out.write("SKIPPED: %s\n" % note)
-            continue
         options, code = _range_options(method, args.eps, out) \
             if spec.required_options else ({}, 0)
         if code:
@@ -995,9 +950,6 @@ def cmd_plan(args, out):
     code = _resolve_auto(args, out)
     if code:
         return code
-    code = _check_method_available(args.method, out)
-    if code:
-        return code
     options, code = _range_options(args.method, args.eps, out)
     if code:
         return code
@@ -1007,9 +959,6 @@ def cmd_plan(args, out):
                           device=device if spec.caps.needs_device else None,
                           workers=args.workers, pool=args.pool)
     out.write("execution plan for %s (method=%s):\n" % (name, args.method))
-    if spec.caps.requires:
-        out.write("  %-16s %s (installed)\n"
-                  % ("requires", ", ".join(spec.caps.requires)))
     if options:
         out.write("  %-16s %s\n" % ("knobs", options))
     for key, value in exec_plan.describe().items():
@@ -1029,9 +978,6 @@ def cmd_classify(args, out):
     from .workloads import knn_classify
 
     spec = get_engine(args.method)
-    code = _check_method_available(args.method, out)
-    if code:
-        return code
     rng = np.random.default_rng(args.seed)
     points, labels = _labelled_mixture(args.n, args.dim, rng, args.classes)
     if not 0.0 < args.train_frac < 1.0:
@@ -1064,9 +1010,6 @@ def cmd_novelty(args, out):
     from .workloads import novelty_scores
 
     spec = get_engine(args.method)
-    code = _check_method_available(args.method, out)
-    if code:
-        return code
     rng = np.random.default_rng(args.seed)
     points = gaussian_mixture(args.n, args.dim, rng,
                               n_clusters=max(4, args.n // 100),
@@ -1110,12 +1053,6 @@ def cmd_serve_bench(args, out):
     code = _check_recall_target(args, out)
     if code:
         return code
-    for method in (args.method, args.degraded_method):
-        if method in (None, "none", ""):
-            continue
-        code = _check_method_available(method, out)
-        if code:
-            return code
     try:
         slos = tuple(SloSpec.parse(text) for text in args.slo)
     except ValidationError as exc:
@@ -1228,9 +1165,6 @@ def cmd_explain(args, out):
     if code:
         return code
     spec = get_engine(args.method)
-    code = _check_method_available(args.method, out)
-    if code:
-        return code
     options, code = _range_options(args.method, args.eps, out)
     if code:
         return code

@@ -9,7 +9,7 @@ the source of the filtering-decision counters.
 Use :func:`ti_knn_join` for the end-to-end join, or
 :func:`prepare_clusters` to reuse the Step-1 state across runs (the
 sensitivity benches sweep k over fixed clusters).  ``ti_knn_join`` is
-also the one driver of every host TI engine: the flat and native tiers
+also the one driver of every host TI engine: the flat tier
 (:mod:`repro.native.engine`) and the predicate joins
 (:mod:`repro.core.joins`) pass it their own :class:`Level2` stage.
 """
@@ -237,8 +237,8 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
                 account_prepare=True, level2=None):
     """Sequential TI-based KNN join (the full Fig. 4 pipeline).
 
-    The one driver of every host TI join: the reference, flat and
-    native top-k engines and the predicate joins differ only in the
+    The one driver of every host TI join: the reference and flat top-k
+    engines and the predicate joins differ only in the
     ``level2`` stage they pass.
 
     Parameters

@@ -24,18 +24,13 @@ from __future__ import annotations
 from importlib import import_module
 
 from .base import EngineCaps, EngineSpec, ExecutionContext
-from .registry import (METHODS, MethodsView, available_engine_names,
-                       engine_available, engine_names, get_engine,
-                       missing_requirements, register,
-                       register_requirement_probe, requirement_available,
-                       unregister)
+from .registry import (METHODS, MethodsView, engine_names, get_engine,
+                       register, unregister)
 
 __all__ = [
     "EngineCaps", "EngineSpec", "ExecutionContext",
     "METHODS", "MethodsView", "engine_names", "get_engine",
     "register", "unregister",
-    "available_engine_names", "engine_available", "missing_requirements",
-    "register_requirement_probe", "requirement_available",
     "ExecutionPlan", "QueryBatchPlan", "plan", "plan_shape",
     "ti_partition_rows", "dense_partition_rows", "partition_ranges",
     "PreparedIndex", "execute",

@@ -58,15 +58,6 @@ class EngineCaps:
         recall* instead of declaring a mismatch; everything else — the
         batch/shard merge, serving, stats — treats approximate results
         exactly like exact ones.
-    requires:
-        Optional runtime dependencies (importable module names, e.g.
-        ``("numba",)`` for the native kernel tier) the engine needs.
-        The registry's availability helpers
-        (:func:`repro.engine.missing_requirements`) probe them, the
-        dispatcher fails fast with an
-        :class:`~repro.errors.EngineUnavailableError` when one is
-        absent, and ``repro.METHODS.available()`` / ``repro plan`` /
-        ``compare`` surface the availability to users.
     cost_hints:
         Pinned prior for the cost-model scheduler (:mod:`repro.sched`):
         ``(name, value)`` pairs — ``ref_s`` (host wall seconds on the
@@ -85,7 +76,6 @@ class EngineCaps:
     tiles_internally: bool = False
     result_kind: str = "knn"
     approximate: bool = False
-    requires: tuple = ()
     cost_hints: tuple = ()
 
 

@@ -39,8 +39,7 @@ import time
 import numpy as np
 
 from .. import obs
-from ..errors import EngineUnavailableError, ValidationError
-from .registry import missing_requirements
+from ..errors import ValidationError
 from ..parallel import get_pool, plan_shards, resolve_pool_kind, \
     resolve_workers
 from ..index.cache import PlanHandle
@@ -216,14 +215,6 @@ def _execute(spec, queries, targets, k, rng=None, device=None,
              query_batch_size=None, workers=None, pool=None, index=None,
              explain=False, decision=None, **options):
     n_q = len(queries)
-    missing_deps = missing_requirements(spec)
-    if missing_deps:
-        from ..native.support import NUMBA_INSTALL_HINT
-        hint = None
-        if "numba" in missing_deps:
-            fallback = spec.name.replace("-native", "-flat")
-            hint = NUMBA_INSTALL_HINT % fallback
-        raise EngineUnavailableError(spec.name, missing_deps, hint=hint)
     missing = [name for name in spec.required_options
                if options.get(name) is None]
     if missing:

@@ -1,9 +1,11 @@
 """Backend registry: name -> :class:`~repro.engine.base.EngineSpec`.
 
-The six built-in engines self-describe in their home modules
+The built-in engines self-describe in their home modules
 (:mod:`repro.core.sweet`, :mod:`repro.core.basic_gpu`,
-:mod:`repro.core.ti_knn`, :mod:`repro.baselines.*`) and are registered
-lazily on first lookup, so importing the registry stays dependency-free.
+:mod:`repro.core.ti_knn`, :mod:`repro.core.joins`,
+:mod:`repro.baselines.*`, :mod:`repro.graph.search`,
+:mod:`repro.native.engine`); :mod:`repro.engine.builtin` registers
+them lazily on first lookup, so importing the registry stays cheap.
 Third-party engines join through :func:`register`::
 
     from repro.engine import EngineCaps, EngineSpec, register
@@ -23,66 +25,10 @@ from ..errors import ValidationError
 from .base import EngineSpec
 
 __all__ = ["register", "unregister", "get_engine", "engine_names",
-           "MethodsView", "METHODS", "register_requirement_probe",
-           "requirement_available", "missing_requirements",
-           "engine_available", "available_engine_names"]
+           "MethodsView", "METHODS"]
 
 _REGISTRY = {}
 _BUILTIN_LOADED = False
-
-
-# ----------------------------------------------------------------------
-# Optional-dependency availability (EngineCaps.requires)
-# ----------------------------------------------------------------------
-def _probe_numba():
-    from ..native.support import numba_available
-
-    return numba_available()
-
-
-#: requirement name -> zero-arg probe returning availability.  Unknown
-#: requirement names fall back to an importability check, so
-#: third-party engines can declare ``requires=("faiss",)`` without
-#: registering a probe.
-_REQUIREMENT_PROBES = {"numba": _probe_numba}
-_PROBE_CACHE = {}
-
-
-def register_requirement_probe(name, probe):
-    """Register (or override) the availability probe for a requirement."""
-    _REQUIREMENT_PROBES[str(name)] = probe
-    _PROBE_CACHE.pop(str(name), None)
-
-
-def requirement_available(name):
-    """True when the named optional requirement is importable (cached)."""
-    name = str(name)
-    if name not in _PROBE_CACHE:
-        probe = _REQUIREMENT_PROBES.get(name)
-        if probe is None:
-            import importlib.util
-            _PROBE_CACHE[name] = importlib.util.find_spec(name) is not None
-        else:
-            _PROBE_CACHE[name] = bool(probe())
-    return _PROBE_CACHE[name]
-
-
-def missing_requirements(spec):
-    """The subset of ``spec.caps.requires`` not importable right now."""
-    return tuple(name for name in spec.caps.requires
-                 if not requirement_available(name))
-
-
-def engine_available(name):
-    """True when the named engine's optional requirements are all met."""
-    return not missing_requirements(get_engine(name))
-
-
-def available_engine_names():
-    """Registered engine names whose requirements are all met."""
-    _ensure_builtin()
-    return tuple(name for name, spec in _REGISTRY.items()
-                 if not missing_requirements(spec))
 
 
 def _ensure_builtin():
@@ -90,7 +36,7 @@ def _ensure_builtin():
     global _BUILTIN_LOADED
     if not _BUILTIN_LOADED:
         _BUILTIN_LOADED = True
-        from . import builtin  # noqa: F401  (registers the six engines)
+        from . import builtin  # noqa: F401  (registers the built-ins)
 
 
 def register(spec, replace=False):
@@ -167,23 +113,6 @@ class MethodsView(Sequence):
         return NotImplemented
 
     __hash__ = None
-
-    def available(self):
-        """Names whose optional requirements are met right now.
-
-        The fail-fast surface of ``EngineCaps.requires``: the
-        ``*-native`` engines appear in the full list (they are
-        registered) but drop out of ``available()`` when numba is not
-        importable.
-        """
-        return available_engine_names()
-
-    def availability(self):
-        """Mapping of every registered name to its missing requirements
-        (empty tuple = available), for UIs that show both."""
-        _ensure_builtin()
-        return {name: missing_requirements(spec)
-                for name, spec in _REGISTRY.items()}
 
 
 #: The public method list (`repro.METHODS`), derived from the registry.

@@ -39,27 +39,6 @@ class ValidationError(ReproError):
     """Raised when user-facing API inputs fail validation."""
 
 
-class EngineUnavailableError(ValidationError):
-    """Raised when a selected engine's optional dependency is missing.
-
-    Engines declare optional runtime requirements via
-    ``EngineCaps.requires`` (e.g. the ``*-native`` kernel tier requires
-    ``numba``); the dispatcher checks them before running so the
-    failure is a one-line remedy instead of an ImportError traceback.
-    The CLI maps this error to exit code 2.
-    """
-
-    def __init__(self, engine, missing, hint=None):
-        self.engine = str(engine)
-        self.missing = tuple(missing)
-        self.hint = hint
-        message = "method '%s' requires %s, which is not installed" % (
-            self.engine, ", ".join(self.missing))
-        if hint:
-            message += " — %s" % hint
-        super().__init__(message)
-
-
 class ServeError(ReproError):
     """Base class for errors raised by the :mod:`repro.serve` layer."""
 

@@ -1,14 +1,13 @@
 """Flat (CSR-packed) view of a clustered target set.
 
-The level-2 kernels — numpy-vectorized and numba-jitted alike — want
-the per-cluster member lists of a
+The flat level-2 kernels (:mod:`repro.native.scan_numpy`) want the
+per-cluster member lists of a
 :class:`~repro.core.clustering.ClusteredSet` as three flat arrays
 (member indices, member distances, cluster offsets) instead of a list
-of ragged ndarrays: one contiguous layout both tiers index with
-``offsets[tc]:offsets[tc + 1]``, and the only container shape numba
-can compile over.  A fourth array, ``heads``, holds each cluster's
-first (largest) member distance, so the numpy full scan can test every
-candidate cluster's first member in one vector op.
+of ragged ndarrays: one contiguous layout indexed with
+``offsets[tc]:offsets[tc + 1]``.  A fourth array, ``heads``, holds
+each cluster's first (largest) member distance, so the full scan can
+test every candidate cluster's first member in one vector op.
 
 Packing is O(n) and allocates ~12 bytes per target point, so it is
 memoized per :class:`ClusteredSet` *object* (validated by a weak

@@ -1,4 +1,4 @@
-"""Vectorized numpy fallback of the flat level-2 scan.
+"""Vectorized numpy flat level-2 scan.
 
 This is Algorithm 2 (and Sweet KNN's weakened partial variant) over
 the :class:`~repro.native.layout.FlatTargets` CSR layout, with the

@@ -137,9 +137,8 @@ class Decision:
 
 def default_candidates():
     """Exact fixed-k engines the scheduler may choose among for
-    ``method="auto"``: available, no mandatory knobs, not approximate."""
-    from ..engine.registry import (engine_names, get_engine,
-                                   missing_requirements)
+    ``method="auto"``: no mandatory knobs, not approximate."""
+    from ..engine.registry import engine_names, get_engine
 
     names = []
     for name in engine_names():
@@ -147,8 +146,6 @@ def default_candidates():
         if spec.caps.result_kind != "knn" or spec.caps.approximate:
             continue
         if spec.required_options:
-            continue
-        if missing_requirements(spec):
             continue
         names.append(name)
     return tuple(names)
@@ -184,16 +181,16 @@ def predict_costs(candidates, features, model=None):
 def _engine_filter_strength(name, k, dim):
     """The filter strength an engine resolves for this shape.
 
-    The host flat/native tier encodes it in the engine name; the
+    The host flat tier encodes it in the engine name; the
     simulated TI engines run the Fig. 8 rule; the basic KNN-TI port
     and the sequential reference default to the full filter; dense
     engines have no filter knob.
     """
     from ..core.adaptive import filter_strength_for
 
-    if name in ("ti-flat", "ti-native"):
+    if name == "ti-flat":
         return "full"
-    if name in ("sweet-flat", "sweet-native"):
+    if name == "sweet-flat":
         return "partial"
     if name == "sweet":
         return filter_strength_for(k, dim)

@@ -1,22 +1,24 @@
 """Flat numpy tier parity: bit-identical to the sequential reference.
 
-The exactness contract of :mod:`repro.native` (always-run half): the
-``ti-flat`` and ``sweet-flat`` engines must return the same neighbour
-indices, the same distances to the last bit, and the same filtering
-funnel counters as the sequential reference engine — per filter
-strength, at every worker count, over every pool flavour.  The
-``sweet-*`` engines implement the paper's partial (fixed-θ) filter, so
-their reference is ``ti-cpu`` with ``filter_strength="partial"``.
+The exactness contract of :mod:`repro.native`: the ``ti-flat`` and
+``sweet-flat`` engines must return the same neighbour indices, the
+same distances to the last bit, and the same filtering funnel counters
+as the sequential reference engine — per filter strength, at every
+worker count, over every pool flavour, and through an mmap-loaded
+index and the serving path.  The ``sweet-*`` engines implement the
+paper's partial (fixed-θ) filter, so their reference is ``ti-cpu``
+with ``filter_strength="partial"``.
 """
 
 import numpy as np
 import pytest
 
-from repro import knn_join
+from repro import SweetKNN, knn_join
 from repro.core.filters import (center_distance_rows, point_filter_full,
                                 point_filter_partial)
 from repro.core.predicates import TopKPredicate
 from repro.core.ti_knn import prepare_clusters
+from repro.index import Index
 from repro.native.layout import flat_targets
 from repro.native.scan_numpy import scan_query_full, scan_query_partial
 from repro.obs.funnel import funnel_from_stats
@@ -106,6 +108,14 @@ class TestSerialParity:
                               method=method, seed=1)
             assert np.array_equal(result.indices, reference.indices)
             assert np.array_equal(result.distances, reference.distances)
+
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_deterministic_across_runs(self, clustered_points, method):
+        a = knn_join(clustered_points, clustered_points, 6, method=method,
+                     seed=9)
+        b = knn_join(clustered_points, clustered_points, 6, method=method,
+                     seed=9)
+        _assert_identical(a, b)
 
     @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
     def test_reports_kernel_tier(self, clustered_points, method):
@@ -221,3 +231,52 @@ class TestShardedParity:
         result = knn_join(clustered_points, clustered_points, 4,
                           method=method, workers=2, pool="thread")
         assert result.stats.extra["kernel_tier"] == "numpy-flat"
+
+
+#: ``JoinStats.summary()`` keys of the work counters (the rest of the
+#: summary carries engine-specific ``extra`` entries).
+SUMMARY_COUNTERS = ("level2_distances", "candidate_cluster_pairs",
+                    "level1_survivor_pairs", "examined_points",
+                    "predicate_accepted_pairs")
+
+
+class TestRoundTrips:
+    @pytest.mark.parametrize("method,ref_options", PAIRS)
+    def test_mmap_index_round_trip(self, tmp_path, clustered_points, rng,
+                                   method, ref_options):
+        path = str(tmp_path / "idx")
+        Index(clustered_points, seed=3).save(path)
+        queries = rng.normal(size=(40, clustered_points.shape[1]))
+        fresh = SweetKNN.from_index(Index(clustered_points, seed=3),
+                                    method=method)
+        loaded = SweetKNN.from_index(Index.load(path, mmap=True),
+                                     method=method)
+        reference = SweetKNN.from_index(Index(clustered_points, seed=3),
+                                        method="ti-cpu")
+        expected = reference.query(queries, 6, **ref_options)
+        _assert_identical(loaded.query(queries, 6), expected)
+        _assert_identical(fresh.query(queries, 6), expected)
+
+    @pytest.mark.parametrize("method,ref_options", PAIRS)
+    def test_serve_path_round_trip(self, clustered_points, rng, method,
+                                   ref_options):
+        from repro.serve import KNNServer
+
+        queries = rng.normal(size=(20, clustered_points.shape[1]))
+        responses = {}
+        # explain keeps each request in its own tile, so its audit holds
+        # exactly that request's counters.
+        for engine, options in ((method, {}), ("ti-cpu", ref_options)):
+            with KNNServer(method=engine, seed=0) as server:
+                responses[engine] = server.query(
+                    queries, clustered_points, 5, explain=True, **options)
+        result, reference = responses[method], responses["ti-cpu"]
+        assert result.engine == method
+        assert np.array_equal(result.indices, reference.indices)
+        assert np.array_equal(result.distances, reference.distances)
+        for name in SUMMARY_COUNTERS:
+            assert result.audit.counters[name] == \
+                reference.audit.counters[name], name
+        assert result.audit.funnel == reference.audit.funnel
+        brute = knn_join(queries, clustered_points, 5, method="brute")
+        assert np.array_equal(result.indices, brute.indices)

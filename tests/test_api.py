@@ -10,10 +10,8 @@ from repro.errors import ValidationError
 
 #: The engines knn_join can answer a fixed-k query with; the range
 #: predicates (result_kind="range") and the approximate graph walks
-#: have their own suites (exactness cannot be asserted for the latter),
-#: and engines whose optional dependency is missing (the numba kernel
-#: tier on a no-numba install) are exercised by the availability tests.
-FIXED_K_METHODS = [m for m in METHODS.available()
+#: have their own suites (exactness cannot be asserted for the latter).
+FIXED_K_METHODS = [m for m in METHODS
                    if get_engine(m).caps.result_kind == "knn"
                    and not get_engine(m).caps.approximate]
 

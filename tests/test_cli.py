@@ -71,6 +71,13 @@ class TestCommands:
         assert code == 0
         assert "ti-knn-cpu" in text
 
+    def test_run_flat_method(self):
+        code, text = _run(["run", "--n", "200", "--dim", "6", "-k", "4",
+                           "--method", "ti-flat", "--check"])
+        assert code == 0
+        assert "numpy-flat" in text
+        assert "exact vs brute force: True" in text
+
     def test_compare_table(self):
         code, text = _run(["compare", "--n", "400", "--dim", "8",
                            "-k", "5"])
