@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import JoinStats, KNNResult
-from ..engine.base import EngineCaps, EngineSpec
+from ..engine.base import EngineSpec
 
 __all__ = ["brute_force_knn", "ENGINE"]
 
@@ -72,10 +72,5 @@ def _run_engine(queries, targets, k, ctx, **options):
 ENGINE = EngineSpec(
     name="brute",
     run=_run_engine,
-    caps=EngineCaps(cost_hints=(
-        # Dense |Q|x|T| distance matrix (chunked): linear in every
-        # shape axis, blind to clustering.
-        ("ref_s", 26.0), ("log_q", 1.0), ("log_t", 1.0), ("log_k", 0.05),
-        ("log_d", 0.9), ("clusterability", 0.0))),
     description="exact brute-force KNN on the host (correctness oracle)",
 )

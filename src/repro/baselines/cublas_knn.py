@@ -134,13 +134,7 @@ def _run_engine(queries, targets, k, ctx, **options):
 ENGINE = EngineSpec(
     name="cublas",
     run=_run_engine,
-    caps=EngineCaps(needs_device=True, tiles_internally=True,
-                    cost_hints=(
-                        # Simulated GPU: host wall cost is the Python
-                        # tiling loop over the dense matrix.
-                        ("ref_s", 40.0), ("log_q", 1.0), ("log_t", 1.0),
-                        ("log_k", 0.05), ("log_d", 1.0),
-                        ("clusterability", 0.0))),
+    caps=EngineCaps(needs_device=True, tiles_internally=True),
     description="CUBLAS-style brute-force GPU baseline (Garcia et al.)",
 )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import JoinStats, KNNResult
-from ..engine.base import EngineCaps, EngineSpec
+from ..engine.base import EngineSpec
 from ..kselect import KNearestHeap
 
 __all__ = ["KDTree", "kdtree_knn", "ENGINE"]
@@ -124,10 +124,5 @@ def _run_engine(queries, targets, k, ctx, **options):
 ENGINE = EngineSpec(
     name="kdtree",
     run=_run_engine,
-    caps=EngineCaps(cost_hints=(
-        # Near-log in |T| at low d, degenerating toward a scan as d
-        # grows (the log_d exponent encodes the curse).
-        ("ref_s", 2.0), ("log_q", 1.0), ("log_t", 0.4), ("log_k", 0.4),
-        ("log_d", 0.6), ("clusterability", -0.3))),
     description="KD-tree KNN baseline on the host",
 )

@@ -62,14 +62,6 @@ Commands
     ``TRAJECTORY.jsonl`` history with noise-tolerant thresholds and
     exits nonzero on regression; ``--ingest`` appends instead of
     gating (baseline seeding).
-``sched calibrate`` / ``sched inspect``
-    The cost-model scheduler (:mod:`repro.sched`): fit the per-engine
-    cost model from the committed benchmark trajectory into a versioned
-    ``cost_model.json`` artifact; print an artifact's fitted weights and
-    its per-dataset engine predictions.  ``--method auto`` on ``run`` /
-    ``plan`` / ``explain`` asks the scheduler for the cheapest predicted
-    exact engine (set ``REPRO_SCHED_MODEL`` to the artifact to use the
-    calibrated model instead of the pinned prior table).
 ``obs report``
     Render a JSONL event log (``trace --events-out``) as tables: span
     timings, the filtering funnel, serving metrics; ``--slo`` also
@@ -347,30 +339,6 @@ def build_parser():
                       help="print every gated metric, not only "
                            "regressions")
 
-    sched_cmd = sub.add_parser(
-        "sched", help="cost-model scheduler: calibrate / inspect the "
-                      "artifact behind --method auto")
-    sched_sub = sched_cmd.add_subparsers(dest="sched_command",
-                                         required=True)
-    calibrate = sched_sub.add_parser(
-        "calibrate", help="fit the per-engine cost model from the "
-                          "benchmark trajectory")
-    calibrate.add_argument("--trajectory", default=None, metavar="FILE",
-                           help="trajectory JSONL to replay (default: "
-                                "benchmarks/results/TRAJECTORY.jsonl)")
-    calibrate.add_argument("--out", default=None, metavar="FILE",
-                           help="artifact output path (default: "
-                                "benchmarks/results/cost_model.json)")
-    calibrate.add_argument("--probes", action="store_true",
-                           help="also time small probe joins on this "
-                                "machine (non-deterministic artifact)")
-    sinspect = sched_sub.add_parser(
-        "inspect", help="print a cost-model artifact and its "
-                        "per-dataset engine predictions")
-    sinspect.add_argument("path", nargs="?", default=None, metavar="FILE",
-                          help="artifact to inspect (default: "
-                               "benchmarks/results/cost_model.json)")
-
     obs_cmd = sub.add_parser(
         "obs", help="observability reports over exported telemetry")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
@@ -406,17 +374,16 @@ def build_parser():
 def _method_arg(parser):
     parser.add_argument("--method", default="sweet",
                         choices=["auto"] + list(engine_names()),
-                        help="a registered engine, or 'auto' to let the "
-                             "cost-model scheduler pick the cheapest "
-                             "predicted exact engine")
+                        help="a registered engine, or 'auto' for the "
+                             "Fig. 8 rule: ti-flat when k/d <= 8, "
+                             "sweet-flat otherwise")
 
 
 def _resolve_auto(args, out):
     """Resolve ``--method auto`` to a concrete engine via the scheduler.
 
     The decision is made from the same shape the command is about to
-    load (registry datasets carry their real clusterability proxy), so
-    the printed choice is exactly what the run will execute.
+    load, so the printed choice is exactly what the run will execute.
     """
     if getattr(args, "method", None) != "auto":
         return 0
@@ -425,17 +392,13 @@ def _resolve_auto(args, out):
     if args.dataset:
         spec = DATASETS[args.dataset]
         n, dim = spec.n, spec.dim
-        clusterability = sched.dataset_clusterability(args.dataset)
     else:
         n, dim = args.n, args.dim
-        clusterability = None
     decision = sched.decide(n, n, args.k, dim, method="auto",
-                            clusterability=clusterability,
                             workers=getattr(args, "workers", None),
                             pool=getattr(args, "pool", None))
     args.method = decision.engine
-    out.write("auto -> %s (%s; predicted %.4gs)\n"
-              % (decision.engine, decision.reason, decision.predicted_s))
+    out.write("auto -> %s (%s)\n" % (decision.engine, decision.reason))
     return 0
 
 
@@ -1236,65 +1199,6 @@ def cmd_bench_gate(args, out):
     return 0
 
 
-def cmd_sched(args, out):
-    from . import sched
-
-    if args.sched_command == "calibrate":
-        trajectory = args.trajectory or str(
-            sched.default_trajectory_path())
-        model = sched.calibrate(trajectory_path=trajectory,
-                                probes=args.probes)
-        path = args.out or str(sched.default_artifact_path())
-        model.save(path)
-        counts = model.source.get("samples_per_engine", {})
-        out.write("cost model v%s: %d trajectory + %d probe sample(s) "
-                  "across %d engine(s) -> %s\n"
-                  % (model.version, model.source.get("n_trajectory", 0),
-                     model.source.get("n_probe", 0), len(model.engines),
-                     path))
-        if counts:
-            out.write(format_table(
-                "calibrated engines",
-                ["engine", "samples"],
-                [[name, counts[name]] for name in sorted(counts)]))
-        out.write("activate it with REPRO_SCHED_MODEL=%s or "
-                  "repro.sched.set_model()\n" % path)
-        return 0
-
-    # inspect
-    path = args.path or str(sched.default_artifact_path())
-    if not os.path.exists(path):
-        out.write("no cost-model artifact at %s; build one with "
-                  "`python -m repro sched calibrate`\n" % path)
-        return 2
-    model = sched.CostModel.load(path)
-    out.write("cost model v%s (created %s)\n"
-              % (model.version, model.created))
-    out.write("source: %s\n" % (model.source,))
-    rows = [[name, engine.n_samples,
-             "  ".join("%s=%.4g" % (fname, weight)
-                       for fname, weight in zip(sched.FEATURE_NAMES,
-                                                engine.weights))]
-            for name, engine in sorted(model.engines.items())]
-    if rows:
-        out.write(format_table("fitted engine models",
-                               ["engine", "samples", "weights"], rows))
-    candidates = sched.default_candidates()
-    for dataset in names():
-        spec = DATASETS[dataset]
-        features = sched.features_from_shape(
-            spec.n, spec.n, 20, spec.dim,
-            clusterability=sched.dataset_clusterability(dataset))
-        costs = sched.predict_costs(candidates, features, model=model)
-        out.write(format_table(
-            "predicted self-join query_time_s: %s (%dx%d, k=20)"
-            % (dataset, spec.n, spec.dim),
-            ["engine", "predicted s", "choice"],
-            [[name, "%.4g" % cost, "<-- cheapest" if i == 0 else ""]
-             for i, (name, cost) in enumerate(costs)]))
-    return 0
-
-
 def cmd_obs(args, out):
     # Only `obs report` exists today; the subparser enforces that.
     import json as json_module
@@ -1406,7 +1310,7 @@ _COMMANDS = {"run": cmd_run, "compare": cmd_compare,
              "classify": cmd_classify, "novelty": cmd_novelty,
              "index": cmd_index, "graph": cmd_graph, "trace": cmd_trace,
              "explain": cmd_explain, "bench-gate": cmd_bench_gate,
-             "obs": cmd_obs, "sched": cmd_sched}
+             "obs": cmd_obs}
 
 
 def main(argv=None, out=None):

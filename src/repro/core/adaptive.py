@@ -38,9 +38,8 @@ def filter_strength_for(k, dim):
 
     "the scenarios for the partial filtering to outperform the full
     filtering is when k/d > 8" — partial on strictly greater.  This is
-    the pinned fallback rule the cost-model scheduler
-    (:mod:`repro.sched`) defers to when no calibration artifact is
-    active.
+    also the rule ``method="auto"`` follows (:func:`repro.sched.decide`):
+    ``"full"`` picks ``ti-flat``, ``"partial"`` picks ``sweet-flat``.
     """
     if int(k) / float(int(dim)) <= FILTER_STRENGTH_RATIO:
         return "full"

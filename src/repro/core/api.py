@@ -80,10 +80,9 @@ def knn_join(queries, targets, k, method="sweet", seed=0, device=None,
         Neighbours per query.
     method:
         A registered engine name (default the paper's Sweet KNN); see
-        :data:`repro.METHODS`.  ``"auto"`` asks the cost-model
-        scheduler (:mod:`repro.sched`) for the cheapest predicted exact
-        engine — prior table by default, calibrated model when one is
-        active (``REPRO_SCHED_MODEL`` / :func:`repro.sched.set_model`).
+        :data:`repro.METHODS`.  ``"auto"`` applies the paper's Fig. 8
+        rule on the host flat tier (:func:`repro.sched.decide`):
+        ``"ti-flat"`` when ``k/d <= 8``, ``"sweet-flat"`` otherwise.
     seed:
         Seed for landmark selection (ignored by engines that do not
         declare ``uses_seed``).
@@ -120,8 +119,7 @@ def knn_join(queries, targets, k, method="sweet", seed=0, device=None,
 
         decision = sched.decide(
             queries.shape[0], targets.shape[0], k, queries.shape[1],
-            method="auto", workers=workers, pool=pool,
-            clusterability=sched.estimate_clusterability(targets))
+            method="auto", workers=workers, pool=pool)
         method = decision.engine
     spec = get_engine(method)
     rng = np.random.default_rng(seed) if spec.caps.uses_seed else None
@@ -144,7 +142,7 @@ class SweetKNN:
     shared :class:`~repro.core.ti_knn.JoinPlan`.
 
     ``method`` may name any prepared-index engine (``"sweet"``,
-    ``"ti-gpu"``, ``"ti-cpu"``).
+    ``"ti-gpu"``, ``"ti-cpu"``, ``"ti-flat"``, ``"sweet-flat"``).
 
     Example
     -------

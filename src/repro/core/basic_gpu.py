@@ -64,13 +64,6 @@ ENGINE = EngineSpec(
     name="ti-gpu",
     run=_run_engine,
     caps=EngineCaps(needs_device=True, uses_seed=True,
-                    supports_prepared_index=True,
-                    cost_hints=(
-                        # Simulated basic implementation: slowest host
-                        # wall cost of the TI family (no remapping, no
-                        # regularity optimisations).
-                        ("ref_s", 90.0), ("log_q", 1.0), ("log_t", 0.6),
-                        ("log_k", 0.3), ("log_d", 0.5),
-                        ("clusterability", -1.5))),
+                    supports_prepared_index=True),
     description="basic TI KNN on the simulated GPU (Section III)",
 )

@@ -87,13 +87,6 @@ ENGINE = EngineSpec(
     name="sweet",
     run=_run_engine,
     caps=EngineCaps(needs_device=True, uses_seed=True,
-                    supports_prepared_index=True, supports_epsilon=True,
-                    cost_hints=(
-                        # Host wall cost of the simulated-GPU pipeline
-                        # (per-thread Python interpretation), not the
-                        # simulated device time it reports.
-                        ("ref_s", 60.0), ("log_q", 1.0), ("log_t", 0.6),
-                        ("log_k", 0.3), ("log_d", 0.5),
-                        ("clusterability", -1.0))),
+                    supports_prepared_index=True, supports_epsilon=True),
     description="Sweet KNN on the simulated GPU (the paper's system)",
 )

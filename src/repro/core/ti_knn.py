@@ -356,10 +356,6 @@ def _run_engine(queries, targets, k, ctx, filter_strength="full",
 ENGINE = EngineSpec(
     name="ti-cpu",
     run=_run_engine,
-    caps=EngineCaps(uses_seed=True, supports_prepared_index=True,
-                    cost_hints=(
-                        ("ref_s", 2.4), ("log_q", 1.0), ("log_t", 0.3),
-                        ("log_k", 0.3), ("log_d", 0.7),
-                        ("clusterability", -1.5))),
+    caps=EngineCaps(uses_seed=True, supports_prepared_index=True),
     description="sequential TI-based KNN (the Fig. 4 reference)",
 )

@@ -4,7 +4,7 @@ These generators produce the *stand-ins* for the paper's nine UCI
 datasets (Table III).  What matters for reproducing the paper is not
 the actual UCI values but the properties TI filtering responds to:
 
-* **clusterability** — how much of the pairwise-distance mass the
+* **cluster structure** — how much of the pairwise-distance mass the
   landmark bounds can prune (intrinsic dimensionality, cluster
   separation);
 * **dimensionality** — the cost of one exact distance and the k/d

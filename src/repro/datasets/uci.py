@@ -1,7 +1,7 @@
 """Stand-ins for the paper's nine UCI datasets (Table III).
 
 Each :class:`DatasetSpec` pairs a paper dataset with a synthetic
-generator matched to its clusterability regime, a scaled-down
+generator matched to its cluster-structure regime, a scaled-down
 cardinality, and the matching device-memory scale.
 
 Scaling rule: cardinalities shrink by a per-dataset factor (the

@@ -58,15 +58,6 @@ class EngineCaps:
         recall* instead of declaring a mismatch; everything else — the
         batch/shard merge, serving, stats — treats approximate results
         exactly like exact ones.
-    cost_hints:
-        Pinned prior for the cost-model scheduler (:mod:`repro.sched`):
-        ``(name, value)`` pairs — ``ref_s`` (host wall seconds on the
-        scheduler's reference join, :data:`repro.sched.model
-        .REFERENCE_FEATURES`) plus log-space shape exponents over the
-        scheduler's feature basis.  Hints only seed the prior; a
-        calibration artifact refines them from measured runs.  Engines
-        that declare none inherit the deliberately pessimistic
-        :data:`repro.sched.model.DEFAULT_HINTS`.
     """
 
     needs_device: bool = False
@@ -76,7 +67,6 @@ class EngineCaps:
     tiles_internally: bool = False
     result_kind: str = "knn"
     approximate: bool = False
-    cost_hints: tuple = ()
 
 
 @dataclass

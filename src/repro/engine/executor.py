@@ -33,7 +33,6 @@ the serial run.
 from __future__ import annotations
 
 import contextlib
-import math
 import time
 
 import numpy as np
@@ -89,7 +88,7 @@ def execute(spec, queries, targets, k, rng=None, device=None,
         The :class:`repro.sched.Decision` that chose this engine, when
         the caller already resolved one (``method="auto"``).  ``None``
         resolves the pinned-engine decision here, so every run carries
-        an auditable record with predicted-vs-actual error in
+        an auditable record, plus its measured ``actual_s``, in
         ``result.stats.extra["decision"]``.
     options:
         Engine options, forwarded verbatim.  ``plan`` (a prebuilt
@@ -108,28 +107,24 @@ def execute(spec, queries, targets, k, rng=None, device=None,
         spans_before = len(tracer.finished_spans()) if explain else 0
         if decision is None:
             decision = _resolve_decision(spec, queries, targets, k,
-                                         workers, pool, options)
+                                         workers, pool)
         with obs.span("engine.execute", engine=spec.name,
                       n_queries=int(n_q), n_targets=int(len(targets)),
                       k=int(k)) as sp:
             obs.event("sched.decision", engine=decision.engine,
-                      source=decision.source, workers=decision.workers,
-                      predicted_s=decision.predicted_s,
-                      reason=decision.reason)
+                      workers=decision.workers, reason=decision.reason)
             started = time.perf_counter()
             result = _execute(spec, queries, targets, k, rng=rng,
                               device=device,
                               query_batch_size=query_batch_size,
                               workers=workers, pool=pool, index=index,
-                              explain=explain, decision=decision, **options)
+                              explain=explain, **options)
             actual_s = time.perf_counter() - started
-            record = _decision_record(decision, actual_s)
+            record = decision.to_dict()
+            record["actual_s"] = round(actual_s, 6)
             result.stats.extra["decision"] = record
             obs.event("sched.outcome", engine=decision.engine,
-                      source=decision.source,
-                      predicted_s=record["predicted_s"],
-                      actual_s=record["actual_s"],
-                      log_error=record.get("log_error"))
+                      actual_s=record["actual_s"])
             sp.annotate(method=result.method,
                         saved_fraction=round(result.stats.saved_fraction, 4))
             if result.profile is not None:
@@ -146,34 +141,13 @@ def execute(spec, queries, targets, k, rng=None, device=None,
         return result
 
 
-def _resolve_decision(spec, queries, targets, k, workers, pool, options):
-    """The pinned-engine scheduling decision for a direct ``execute``.
+def _resolve_decision(spec, queries, targets, k, workers, pool):
+    """The pinned-engine scheduling decision for a direct ``execute``."""
+    from ..sched import decide
 
-    Reads the clusterability proxy off a prebuilt plan when the caller
-    passed one (the landmark radii are free); shape-only otherwise.
-    """
-    from ..sched import clusterability_from_plan, decide
-
-    clusterability = None
-    prebuilt = options.get("plan") if spec.caps.supports_prepared_index \
-        else None
-    if prebuilt is not None:
-        clusterability = clusterability_from_plan(prebuilt)
     return decide(len(queries), len(targets), int(k),
                   int(np.asarray(queries).shape[1]), method=spec.name,
-                  clusterability=clusterability, workers=workers, pool=pool)
-
-
-def _decision_record(decision, actual_s):
-    """The decision payload plus post-run predicted-vs-actual error."""
-    record = decision.to_dict()
-    record["actual_s"] = round(float(actual_s), 6)
-    predicted = record.get("predicted_s")
-    if predicted and actual_s > 0:
-        record["error_ratio"] = round(float(actual_s) / predicted, 4)
-        record["log_error"] = round(
-            abs(math.log(float(actual_s) / predicted)), 4)
-    return record
+                  workers=workers, pool=pool)
 
 
 def _assemble_audit(spec, result, device, options, spans):
@@ -213,7 +187,7 @@ def _assemble_audit(spec, result, device, options, spans):
 
 def _execute(spec, queries, targets, k, rng=None, device=None,
              query_batch_size=None, workers=None, pool=None, index=None,
-             explain=False, decision=None, **options):
+             explain=False, **options):
     n_q = len(queries)
     missing = [name for name in spec.required_options
                if options.get(name) is None]
@@ -227,12 +201,7 @@ def _execute(spec, queries, targets, k, rng=None, device=None,
     rows = _resolve_rows(spec, queries, targets, k, device,
                          query_batch_size, options)
 
-    # A calibrated model owns the fan-out it recommended; the fallback
-    # path resolves workers exactly as before.
-    if decision is not None and decision.source == "model":
-        n_workers = decision.workers
-    else:
-        n_workers = resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers > 1:
         shard_plan = plan_shards(n_q, rows, n_workers,
                                  kind=resolve_pool_kind(pool),

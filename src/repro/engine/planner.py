@@ -184,8 +184,7 @@ def plan_shape(n_queries, n_targets, k, dim, method="sweet", device=None,
 
 
 def _plan_shape(n_queries, n_targets, k, dim, method="sweet", device=None,
-                mq=None, mt=None, workers=None, pool=None,
-                clusterability=None, **overrides):
+                mq=None, mt=None, workers=None, pool=None, **overrides):
     # Imported lazily so the planner module itself has no core/gpu
     # dependencies (several core modules import the partition budgets
     # above at import time).
@@ -196,8 +195,7 @@ def _plan_shape(n_queries, n_targets, k, dim, method="sweet", device=None,
     from .registry import get_engine
 
     decision = sched_decide(n_queries, n_targets, k, dim, method=method,
-                            clusterability=clusterability, workers=workers,
-                            pool=pool)
+                            workers=workers, pool=pool)
     method = decision.engine
     spec = get_engine(method)
     caps = spec.caps
@@ -243,13 +241,7 @@ def _plan_shape(n_queries, n_targets, k, dim, method="sweet", device=None,
 
     from ..parallel.shard import plan_shards, resolve_pool_kind, \
         resolve_workers
-    # The scheduler owns the worker count when a calibrated model chose
-    # it; the fallback path resolves exactly as before.
-    if decision.source == "model":
-        n_workers = decision.workers
-    else:
-        n_workers = resolve_workers(workers)
-    sharding = plan_shards(n_queries, rows, n_workers,
+    sharding = plan_shards(n_queries, rows, resolve_workers(workers),
                            kind=resolve_pool_kind(pool))
     # Re-anchor the record on the actual shard split (the decision was
     # made before the device row budget was known).

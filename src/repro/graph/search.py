@@ -194,20 +194,14 @@ ENGINES = (
     EngineSpec(
         name="graph-bfs",
         run=_run_bfs,
-        caps=EngineCaps(approximate=True, cost_hints=(
-            # Per-query walk touches ~ef*k candidates: near-constant in
-            # |T|, linear in d per distance, blind to clustering.
-            ("ref_s", 0.08), ("log_q", 1.0), ("log_t", 0.15),
-            ("log_k", 0.6), ("log_d", 1.0), ("clusterability", 0.0))),
+        caps=EngineCaps(approximate=True),
         description="approximate best-first k-NN graph walk (ef knob)",
         required_options=("graph",),
     ),
     EngineSpec(
         name="graph-greedy",
         run=_run_greedy,
-        caps=EngineCaps(approximate=True, cost_hints=(
-            ("ref_s", 0.05), ("log_q", 1.0), ("log_t", 0.15),
-            ("log_k", 0.6), ("log_d", 1.0), ("clusterability", 0.0))),
+        caps=EngineCaps(approximate=True),
         description="approximate greedy k-NN graph walk (ef = k)",
         required_options=("graph",),
     ),

@@ -64,26 +64,17 @@ def _make_run(strength):
     return _run
 
 
-# Shared TI-family shape exponents; the partial filter both runs
-# cheaper (lower ref_s) and leans less on tight clusters.
-_TI_EXPONENTS = (("log_q", 1.0), ("log_t", 0.3), ("log_k", 0.3),
-                 ("log_d", 0.85))
-_TI_FLAT_CAPS = EngineCaps(
-    uses_seed=True, supports_prepared_index=True,
-    cost_hints=(("ref_s", 1.0), ("clusterability", -1.5)) + _TI_EXPONENTS)
-_SWEET_FLAT_CAPS = EngineCaps(
-    uses_seed=True, supports_prepared_index=True,
-    cost_hints=(("ref_s", 0.8), ("clusterability", -1.0)) + _TI_EXPONENTS)
+_FLAT_CAPS = EngineCaps(uses_seed=True, supports_prepared_index=True)
 
 ENGINES = (
     EngineSpec(
         name="ti-flat",
         run=_make_run("full"),
-        caps=_TI_FLAT_CAPS,
+        caps=_FLAT_CAPS,
         description="flat-layout vectorized TI KNN (full filter)"),
     EngineSpec(
         name="sweet-flat",
         run=_make_run("partial"),
-        caps=_SWEET_FLAT_CAPS,
+        caps=_FLAT_CAPS,
         description="flat-layout vectorized Sweet KNN partial filter"),
 )

@@ -74,8 +74,8 @@ class QueryAudit:
         Per-span wall-clock aggregate ``{span: {count, total_s}}``.
     decision:
         The scheduler's :meth:`repro.sched.Decision.to_dict` record for
-        this run — chosen engine, predicted cost, rejected alternatives
-        and the post-run predicted-vs-actual error.
+        this run — chosen engine, filter strength, worker fan-out, the
+        reason for the pick — plus the measured ``actual_s``.
     """
 
     method: str = ""
@@ -142,13 +142,10 @@ class QueryAudit:
             rows.append(["plan cache hit", self.cache_hit])
         rows.append(["degraded", self.degraded])
         if self.decision:
-            for key in ("source", "engine", "predicted_s", "actual_s",
-                        "error_ratio", "model_version", "reason"):
+            for key in ("engine", "engine_pinned", "filter_strength",
+                        "actual_s", "reason"):
                 if self.decision.get(key) is not None:
                     rows.append(["decision." + key, self.decision[key]])
-            for name, cost in self.decision.get("alternatives", [])[:4]:
-                rows.append(["decision.rejected." + str(name),
-                             "%.6gs predicted" % cost])
         for key, value in self.plan.items():
             rows.append(["plan." + str(key), value])
         for stage, value in self.funnel.items():

@@ -13,8 +13,7 @@ unverifiable two PRs later.  This module gives them a memory and teeth:
 * The **trajectory file** (``benchmarks/results/TRAJECTORY.jsonl``) is
   an append-only JSONL log of those rows keyed by
   ``(bench, fingerprint, metric, commit)``; committed to the repo, it
-  is the recorded-performance substrate the ROADMAP's cost-model
-  scheduler trains on.
+  is the recorded-performance history the gate compares against.
 * :func:`gate` compares a fresh payload against the **median of the
   stored history** per key with noise-tolerant thresholds: a value is
   a regression only when it is worse than the median by more than

@@ -25,8 +25,7 @@ from ..errors import ValidationError
 
 __all__ = [
     "ShardPlan", "plan_shards", "resolve_workers", "resolve_pool_kind",
-    "recommend_workers", "WORKERS_ENV", "POOL_ENV", "MIN_ROWS_PER_SHARD",
-    "POOL_KINDS", "POOL_SPINUP_S", "PER_WORKER_S", "FANOUT_MARGIN",
+    "WORKERS_ENV", "POOL_ENV", "MIN_ROWS_PER_SHARD", "POOL_KINDS",
 ]
 
 #: Environment override for the default worker count (``--workers`` and
@@ -41,49 +40,6 @@ POOL_ENV = "REPRO_POOL"
 MIN_ROWS_PER_SHARD = 32
 
 POOL_KINDS = ("process", "thread", "serial")
-
-#: Pinned pool-overhead constants for :func:`recommend_workers` —
-#: one-off pool spin-up plus per-worker dispatch/serialisation cost, in
-#: seconds.  Deliberately conservative: the recorded parallel-scaling
-#: trajectory shows the 4096-row kegg join *losing* time at 2–4 workers
-#: (`BENCH_parallel_scaling.json`), and these constants reproduce that
-#: call.
-POOL_SPINUP_S = 0.25
-PER_WORKER_S = 0.15
-
-#: Fan-out must beat the predicted serial time by this factor before it
-#: is recommended — inside the margin, the model error is larger than
-#: the saving.
-FANOUT_MARGIN = 0.8
-
-
-def recommend_workers(predicted_serial_s, n_queries, max_workers=None,
-                      spinup_s=POOL_SPINUP_S, per_worker_s=PER_WORKER_S,
-                      margin=FANOUT_MARGIN):
-    """Cost-aware worker count for a join predicted to run serially in
-    ``predicted_serial_s``.
-
-    Models fan-out as ``serial/w + spinup + w * per_worker`` and picks
-    the ``w`` minimising it, but only when the winner beats serial by
-    :data:`FANOUT_MARGIN`; ties and small joins stay serial.  Never
-    splits below :data:`MIN_ROWS_PER_SHARD` rows per worker.
-    Deterministic for fixed inputs (``max_workers`` defaults to the
-    visible core count — pass it explicitly for reproducible records
-    across hosts).
-    """
-    serial = float(predicted_serial_s)
-    if serial <= 0.0:
-        return 1
-    limit = _cpu_count() if max_workers is None else max(1, int(max_workers))
-    limit = min(limit, max(1, int(n_queries) // int(MIN_ROWS_PER_SHARD)))
-    best_w, best_t = 1, serial
-    for w in range(2, limit + 1):
-        t = serial / w + spinup_s + per_worker_s * w
-        if t < best_t:
-            best_w, best_t = w, t
-    if best_w > 1 and best_t <= margin * serial:
-        return best_w
-    return 1
 
 
 def resolve_workers(workers=None):

@@ -268,10 +268,6 @@ class KNNServer:
                         if needs_device else config.device)
         self._rng = np.random.default_rng(config.seed)
 
-        # Per-(index, version) cache of the scheduler's clusterability
-        # proxy (the landmark radii are free, the centre spread is not).
-        self._clusterability_cache = {}
-
         self.store = IndexStore(budget_bytes=config.store_budget_bytes,
                                 max_entries=config.store_max_entries)
         if config.index_dir is not None:
@@ -387,8 +383,7 @@ class KNNServer:
                 "serve.graph_version_lag").set(
                     int(index.version) - graph.built_version)
         if recall_target is not None and self._graph_spec is not None:
-            if (graph is not None and graph.is_fresh_for(index)
-                    and self._approx_route_pays(index, k, len(queries))):
+            if graph is not None and graph.is_fresh_for(index):
                 route = "approx"
                 ef = int(graph.ef_for(recall_target, k))
                 if graph.calibration is not None:
@@ -557,60 +552,6 @@ class KNNServer:
                              pressure=round(pressure, 4)):
                 return self._run_batch(requests, pressure)
 
-    def _index_clusterability(self, index):
-        """The scheduler's radii-derived proxy, cached per version."""
-        from .. import sched
-
-        key = (id(index), int(index.version))
-        value = self._clusterability_cache.get(key)
-        if value is None:
-            value = sched.clusterability_from_clusters(
-                index.target_clusters)
-            self._clusterability_cache.clear()
-            self._clusterability_cache[key] = value
-        return value
-
-    def _degradation_pays(self, index, k, n_rows):
-        """Under pressure, does swapping to the degraded engine
-        actually lower this batch's predicted cost?
-
-        Without a calibrated cost model this is always true — the
-        pressure threshold alone decides, exactly as before.
-        """
-        from .. import sched
-
-        if sched.current_model() is None:
-            return True
-        pays = sched.degradation_pays(
-            self._spec.name, self._degraded_spec.name, n_rows,
-            len(index.targets), k, index.dim,
-            clusterability=self._index_clusterability(index))
-        if not pays:
-            obs.event("sched.degrade_skipped",
-                      primary=self._spec.name,
-                      degraded=self._degraded_spec.name, rows=int(n_rows))
-        return pays
-
-    def _approx_route_pays(self, index, k, n_rows):
-        """Is the graph route actually predicted cheaper than exact?
-
-        Without a calibrated cost model, a fresh graph always wins —
-        the previous routing rule.
-        """
-        from .. import sched
-
-        if sched.current_model() is None:
-            return True
-        pays = sched.approx_route_pays(
-            self._spec.name, self._graph_spec.name, n_rows,
-            len(index.targets), k, index.dim,
-            clusterability=self._index_clusterability(index))
-        if not pays:
-            obs.event("sched.approx_route_skipped",
-                      exact=self._spec.name,
-                      graph=self._graph_spec.name, rows=int(n_rows))
-        return pays
-
     def _run_batch(self, requests, pressure):
         first = requests[0].payload
         batch = (first.queries if len(requests) == 1
@@ -626,9 +567,7 @@ class KNNServer:
         # under pressure would raise, not lower, the batch cost.
         approx = first.route == "approx"
         degraded = (not approx and self._degraded_spec is not None
-                    and pressure >= self.config.degrade_at
-                    and self._degradation_pays(first.index, first.k,
-                                               len(batch)))
+                    and pressure >= self.config.degrade_at)
         if degraded:
             logger.debug(
                 "queue pressure %.2f >= %.2f: degrading batch of %d "

@@ -90,7 +90,7 @@ class TestSerialParity:
 
     @pytest.mark.parametrize("method,ref_options", PAIRS)
     def test_uniform_points(self, uniform_points, method, ref_options):
-        # Weak clusterability: the filter prunes little, the scan walks
+        # Weak cluster structure: the filter prunes little, the scan walks
         # almost everything — the opposite regime of the blob fixture.
         reference = knn_join(uniform_points, uniform_points, 9,
                              method="ti-cpu", seed=4, **ref_options)

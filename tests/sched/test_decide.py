@@ -1,15 +1,15 @@
-"""Decision determinism and the pinned-fallback parity contract.
+"""The scheduler's contracts: pinned engines, the Fig. 8 auto rule and
+byte-identical decision records.
 
-The two properties the PR's refactor hangs on:
-
-* **byte-identical decisions** — the same inputs and the same
-  ``CostModel`` artifact resolve to the same ``Decision`` record, byte
-  for byte, regardless of the worker-pool kind and regardless of
-  whether the clusterability proxy came from a freshly built or an
-  mmap-loaded index;
-* **fallback parity** — with no calibration artifact the policy *is*
-  the previous behaviour: the caller's engine, the Fig. 8 filter rule,
-  ``resolve_workers`` worker resolution.
+* **pinned parity** — a named engine is never overridden; its filter
+  strength follows the Fig. 8 rule and its workers resolve through
+  ``resolve_workers`` exactly as a direct call would;
+* **the auto rule** — ``method="auto"`` picks ``ti-flat`` when
+  ``k/d <= 8`` and ``sweet-flat`` above, and the scheduled join
+  computes exactly what a direct run of that engine computes;
+* **byte-identical decisions** — the same inputs resolve to the same
+  ``Decision`` record, byte for byte, regardless of the worker-pool
+  kind and of whether the index was mmap-loaded.
 """
 
 import json
@@ -17,11 +17,12 @@ import json
 import numpy as np
 import pytest
 
-from repro import sched
+from repro import knn_join, sched
 from repro.core.adaptive import decide as adaptive_decide
 from repro.core.adaptive import filter_strength_for
-from repro.engine.registry import engine_names, get_engine
+from repro.engine.registry import engine_names
 from repro.gpu.device import tesla_k20c
+from repro.obs.funnel import funnel_from_stats
 from repro.parallel.shard import resolve_workers
 
 #: Tier-1 fixture shapes: (|Q|=|T|, k, d) — the kegg-like medium
@@ -35,58 +36,35 @@ def _decision_bytes(**kwargs):
     return json.dumps(decision.to_dict(), sort_keys=True).encode()
 
 
-def _model():
-    prior = sched.fallback_weights((("ref_s", 2.0),))
-    samples = [
-        sched.Sample("ti-cpu",
-                     sched.features_from_shape(4096, 4096, 20, 29),
-                     seconds=2.5),
-        sched.Sample("kdtree",
-                     sched.features_from_shape(100, 100, 20, 10000),
-                     seconds=0.25),
-    ]
-    engines = {}
-    for sample in samples:
-        engines[sample.engine] = sched.fit_engine_model(
-            sample.engine, [sample],
-            sched.fallback_weights(
-                get_engine(sample.engine).caps.cost_hints))
-    return sched.CostModel(engines=engines, source={}, created=1.0)
+def _executed_record(result):
+    """The decision part of ``stats.extra`` minus the measured time."""
+    record = dict(result.stats.extra["decision"])
+    assert record.pop("actual_s") >= 0
+    return json.dumps(record, sort_keys=True)
 
 
 class TestByteIdentity:
     def test_identical_across_pool_kinds(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        model = _model()
         for n, k, dim in SHAPES:
-            records = {
-                pool: _decision_bytes(
-                    n_queries=n, n_targets=n, k=k, dim=dim,
-                    method="auto", model=model, pool=pool)
-                for pool in ("process", "thread", "serial", None)}
-            assert len(set(records.values())) == 1, (n, k, dim, records)
+            for method in ("auto", "ti-cpu"):
+                records = {
+                    pool: _decision_bytes(
+                        n_queries=n, n_targets=n, k=k, dim=dim,
+                        method=method, pool=pool)
+                    for pool in ("process", "thread", "serial", None)}
+                assert len(set(records.values())) == 1, (n, k, dim,
+                                                         records)
 
     def test_identical_for_repeated_calls(self):
-        model = _model()
         first = _decision_bytes(n_queries=500, n_targets=500, k=5,
-                                dim=12, method="auto", model=model)
+                                dim=12, method="auto")
         second = _decision_bytes(n_queries=500, n_targets=500, k=5,
-                                 dim=12, method="auto", model=model)
+                                 dim=12, method="auto")
         assert first == second
 
-    def test_identical_through_artifact_round_trip(self, tmp_path):
-        model = _model()
-        path = tmp_path / "m.json"
-        model.save(path)
-        loaded = sched.CostModel.load(path)
-        for n, k, dim in SHAPES:
-            assert _decision_bytes(
-                n_queries=n, n_targets=n, k=k, dim=dim, method="auto",
-                model=model) == _decision_bytes(
-                n_queries=n, n_targets=n, k=k, dim=dim, method="auto",
-                model=loaded)
-
     def test_identical_for_mmap_loaded_index(self, tmp_path):
+        from repro import SweetKNN
         from repro.index import Index
 
         rng = np.random.default_rng(11)
@@ -94,111 +72,111 @@ class TestByteIdentity:
         built = Index(points, seed=3)
         built.save(tmp_path / "idx")
         loaded = Index.load(tmp_path / "idx")
-        model = _model()
-        records = []
-        for index in (built, loaded):
-            proxy = sched.clusterability_from_clusters(
-                index.target_clusters)
-            records.append(_decision_bytes(
-                n_queries=64, n_targets=len(points), k=5, dim=6,
-                method="auto", clusterability=proxy, model=model))
+        queries = points[:64]
+        records = [
+            _executed_record(SweetKNN.from_index(
+                index, method="ti-flat").query(queries, k=5))
+            for index in (built, loaded)]
         assert records[0] == records[1]
 
     def test_record_never_carries_the_pool_kind(self):
         decision = sched.decide(200, 200, 5, 8, method="auto",
-                                model=_model(), pool="thread")
+                                pool="thread")
         payload = json.dumps(decision.to_dict())
         assert "thread" not in payload
 
+    def test_record_fields(self):
+        payload = sched.decide(200, 200, 5, 8, method="auto").to_dict()
+        assert sorted(payload) == ["engine", "engine_pinned",
+                                   "filter_strength", "n_shards",
+                                   "reason", "workers"]
+
 
 class TestFallbackParity:
+    """Pinned engines resolve exactly as the previous no-model path."""
+
     def test_engine_stays_pinned_for_every_registered_engine(self):
         for name in engine_names():
-            decision = sched.decide(500, 500, 10, 16, method=name,
-                                    model=False)
+            decision = sched.decide(500, 500, 10, 16, method=name)
             assert decision.engine == name
-            assert decision.source == "fallback"
             assert decision.engine_pinned
 
     def test_filter_strength_matches_the_fig8_rule(self):
         device = tesla_k20c()
         for n, k, dim in SHAPES:
             config = adaptive_decide(n, n, k, dim, 32.0, device)
-            decision = sched.decide(n, n, k, dim, method="sweet",
-                                    model=False)
+            decision = sched.decide(n, n, k, dim, method="sweet")
             assert decision.filter_strength == config.filter_strength
             assert decision.filter_strength == filter_strength_for(k, dim)
 
     def test_workers_resolve_exactly_as_before(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        decision = sched.decide(5000, 5000, 10, 16, method="ti-cpu",
-                                model=False)
+        decision = sched.decide(5000, 5000, 10, 16, method="ti-cpu")
         assert decision.workers == resolve_workers(None) == 1
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        decision = sched.decide(5000, 5000, 10, 16, method="ti-cpu",
-                                model=False)
+        decision = sched.decide(5000, 5000, 10, 16, method="ti-cpu")
         assert decision.workers == resolve_workers(None) == 3
 
     def test_explicit_workers_always_win(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        decision = sched.decide(5000, 5000, 10, 16, method="ti-cpu",
-                                model=_model(), workers=2)
-        assert decision.workers == 2
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        for method in ("ti-cpu", "auto"):
+            decision = sched.decide(5000, 5000, 10, 16, method=method,
+                                    workers=2)
+            assert decision.workers == 2
 
-    def test_auto_without_model_uses_the_prior_table(self):
+
+class TestAutoRule:
+    @pytest.mark.parametrize("k,dim", [(5, 8), (20, 29), (64, 8),
+                                       (20, 10000), (1, 1)])
+    def test_full_filter_shapes_pick_ti_flat(self, k, dim):
+        # (64, 8) is exactly k/d = 8: still the full filter.
+        decision = sched.decide(1000, 1000, k, dim, method="auto")
+        assert decision.engine == "ti-flat"
+        assert decision.filter_strength == "full"
+        assert not decision.engine_pinned
+
+    @pytest.mark.parametrize("k,dim", [(65, 8), (40, 4), (9, 1)])
+    def test_partial_filter_shapes_pick_sweet_flat(self, k, dim):
+        decision = sched.decide(1000, 1000, k, dim, method="auto")
+        assert decision.engine == "sweet-flat"
+        assert decision.filter_strength == "partial"
+        assert not decision.engine_pinned
+
+    def test_none_means_auto(self):
         for n, k, dim in SHAPES:
-            decision = sched.decide(n, n, k, dim, method="auto",
-                                    model=False)
-            features = sched.features_from_shape(n, n, k, dim)
-            expected = sched.predict_costs(
-                sched.default_candidates(), features)[0][0]
-            assert decision.engine == expected
-            assert not decision.engine_pinned
+            assert sched.decide(n, n, k, dim) == sched.decide(
+                n, n, k, dim, method="auto")
 
 
 class TestExecutedRecords:
     def test_executed_decision_identical_across_pools(self):
         """The decision part of ``stats.extra`` (everything but the
-        measured-time fields) is byte-identical across pool kinds."""
-        from repro import knn_join
-
+        measured time) is byte-identical across pool kinds."""
         rng = np.random.default_rng(9)
         points = rng.normal(size=(300, 8))
         records = {}
         for pool in ("serial", "thread", "process"):
             result = knn_join(points, points, 5, method="ti-cpu",
                               seed=0, workers=2, pool=pool)
-            record = dict(result.stats.extra["decision"])
-            for measured in ("actual_s", "error_ratio", "log_error"):
-                record.pop(measured, None)
-            records[pool] = json.dumps(record, sort_keys=True)
+            records[pool] = _executed_record(result)
         assert len(set(records.values())) == 1, records
 
-
-class TestModelActivation:
-    def test_use_model_scopes_the_choice(self):
-        model = _model()
-        baseline = sched.decide(4096, 4096, 20, 29, method="auto")
-        with sched.use_model(model):
-            scoped = sched.decide(4096, 4096, 20, 29, method="auto")
-        after = sched.decide(4096, 4096, 20, 29, method="auto")
-        assert scoped.source == "model"
-        assert scoped.model_version == model.version
-        assert baseline.source == after.source == "fallback"
-
-    def test_model_choice_is_argmin_of_predictions(self):
-        model = _model()
-        for n, k, dim in SHAPES:
-            features = sched.features_from_shape(n, n, k, dim)
-            expected = sched.predict_costs(
-                sched.default_candidates(), features, model=model)[0]
-            decision = sched.decide(n, n, k, dim, method="auto",
-                                    model=model)
-            assert decision.engine == expected[0]
-            assert decision.predicted_s == pytest.approx(expected[1])
-
-    def test_alternatives_are_sorted_cheapest_first(self):
-        decision = sched.decide(1000, 1000, 10, 16, method="auto",
-                                model=_model())
-        costs = [cost for _name, cost in decision.alternatives]
-        assert costs == sorted(costs)
+    @pytest.mark.parametrize("k,dim,engine", [(5, 8, "ti-flat"),
+                                              (40, 4, "sweet-flat")])
+    def test_auto_equals_a_direct_run_of_its_pick(self, k, dim, engine):
+        """The scheduler changes the choosing, never the computing: one
+        input per branch of the Fig. 8 rule."""
+        rng = np.random.default_rng(5)
+        centres = rng.normal(scale=6.0, size=(6, dim))
+        points = centres[rng.integers(0, 6, size=600)] \
+            + rng.normal(size=(600, dim))
+        scheduled = knn_join(points, points, k, method="auto", seed=3)
+        direct = knn_join(points, points, k, method=engine, seed=3)
+        assert scheduled.method == direct.method
+        assert np.array_equal(scheduled.indices, direct.indices)
+        assert np.array_equal(scheduled.distances, direct.distances)
+        assert funnel_from_stats(scheduled.stats) \
+            == funnel_from_stats(direct.stats)
+        record = scheduled.stats.extra["decision"]
+        assert record["engine"] == engine
+        assert not record["engine_pinned"]

@@ -78,6 +78,12 @@ class TestCommands:
         assert "numpy-flat" in text
         assert "exact vs brute force: True" in text
 
+    def test_run_auto_method(self):
+        code, text = _run(["run", "--method", "auto", "--n", "400",
+                           "--dim", "8", "-k", "5"])
+        assert code == 0
+        assert "auto -> ti-flat" in text
+
     def test_compare_table(self):
         code, text = _run(["compare", "--n", "400", "--dim", "8",
                            "-k", "5"])
