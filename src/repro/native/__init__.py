@@ -5,13 +5,18 @@ scan (Algorithm 2) and the k-selection — over one flat data layout
 (:mod:`repro.native.layout` packs the per-cluster member lists into
 CSR arrays):
 
+* ``_scan.c`` with its loader :mod:`repro.native.cscan` — the full
+  and partial scans as one C kernel that scans every active query of
+  one query cluster per call; built on first use with the system
+  ``cc``.
 * :mod:`repro.native.scan_numpy` — a pure-numpy vectorized
-  restructuring of the scan: a vector head test over the candidate
-  clusters, skip runs located with ``searchsorted``, and exact
-  distances computed in batched windows that are then *walked* so the
-  updating bound keeps Algorithm 2's exact semantics (the proven
-  pattern of :mod:`repro.core.scan`, minus the lane logging).
-* :mod:`repro.native.engine` — registers it as the ``ti-flat`` /
+  restructuring of the scan, used when the C kernel cannot be built: a
+  vector head test over the candidate clusters, skip runs located with
+  ``searchsorted``, and exact distances computed in batched windows
+  that are then *walked* so the updating bound keeps Algorithm 2's
+  exact semantics (the proven pattern of :mod:`repro.core.scan`, minus
+  the lane logging).
+* :mod:`repro.native.engine` — registers them as the ``ti-flat`` /
   ``sweet-flat`` engines.
 
 The kernels make decision-for-decision the same choices as the

@@ -26,7 +26,7 @@ Example
 
     from repro.serve import KNNServer
 
-    with KNNServer(method="sweet") as server:
+    with KNNServer(method="ti-flat") as server:
         response = server.query(point, targets, k=10)
         response.indices        # (k,) neighbour ids
 
@@ -67,9 +67,10 @@ class ServeConfig:
     Attributes
     ----------
     method:
-        Primary engine; must support a prepared index (``"sweet"``,
-        ``"ti-gpu"``, ``"ti-cpu"``, or a plugin engine declaring the
-        capability).
+        Primary engine; must support a prepared index.  Defaults to
+        the host tier's ``"ti-flat"``; ``"sweet"``, ``"ti-gpu"``,
+        ``"ti-cpu"`` or a plugin engine declaring the capability work
+        too.
     degraded_method:
         Engine used when queue pressure reaches ``degrade_at``
         (``None`` disables degradation).  Any registered engine works;
@@ -135,7 +136,7 @@ class ServeConfig:
         and the windowed ``ServerStats`` rows read from.
     """
 
-    method: str = "sweet"
+    method: str = "ti-flat"
     degraded_method: str = "brute"
     degrade_at: float = 0.75
     max_batch_size: int = 64

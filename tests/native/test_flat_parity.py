@@ -8,6 +8,11 @@ worker count, over every pool flavour, and through an mmap-loaded
 index and the serving path.  The ``sweet-*`` engines implement the
 paper's partial (fixed-θ) filter, so their reference is ``ti-cpu``
 with ``filter_strength="partial"``.
+
+Every class runs over both level-2 backends: as written it uses the
+backend the loader picks (the C kernel wherever ``cc`` builds it), and
+its ``...Numpy`` subclass forces the numpy kernels by patching the
+loader.
 """
 
 import numpy as np
@@ -19,9 +24,10 @@ from repro.core.filters import (center_distance_rows, point_filter_full,
 from repro.core.predicates import TopKPredicate
 from repro.core.ti_knn import prepare_clusters
 from repro.index import Index
+from repro.native import cscan, engine
 from repro.native.layout import flat_targets
-from repro.native.scan_numpy import scan_query_full, scan_query_partial
 from repro.obs.funnel import funnel_from_stats
+from repro.parallel import shutdown_pools
 
 #: (contender, reference options) per filter strength.
 PAIRS = [("ti-flat", {}),
@@ -31,6 +37,24 @@ COUNTERS = ("level2_distance_computations", "center_distance_computations",
             "examined_points", "candidate_cluster_pairs",
             "level1_survivor_pairs", "heap_updates",
             "predicate_accepted_pairs")
+
+
+def loaded_tier():
+    """The tier the loader picks on this host."""
+    return "c-flat" if cscan.load() is not None else "numpy-flat"
+
+
+class NumpyBackend:
+    """Mixin: run the inherited tests over the numpy kernels."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_backend(self, monkeypatch):
+        monkeypatch.setattr(cscan, "load", lambda: None)
+        # Shared process pools fork on first use: drop them on both
+        # sides so their workers see the same loader as this test.
+        shutdown_pools()
+        yield
+        shutdown_pools()
 
 
 def rounded_mixture(seed, n):
@@ -121,47 +145,57 @@ class TestSerialParity:
     def test_reports_kernel_tier(self, clustered_points, method):
         result = knn_join(clustered_points, clustered_points, 4,
                           method=method)
-        assert result.stats.extra["kernel_tier"] == "numpy-flat"
+        assert result.stats.extra["kernel_tier"] == loaded_tier()
 
 
-def _assert_kernels_match(flat, ct, query_point, q, row, cand, ub, k):
-    """Both flat kernels return the reference's arrays and its whole
-    ``ScanTrace`` (``steps`` and ``breaks`` included, which
-    ``JoinStats`` does not aggregate); returns the full scan's trace."""
-    heap, ref_trace = point_filter_full(query_point, q, ct, cand, ub, k,
-                                        center_dists_row=row)
-    ref_d, ref_i = heap.sorted_items()
-    d, i, trace = scan_query_full(flat, query_point, row, cand, ub, k)
-    assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
-    assert vars(trace) == vars(ref_trace)
-    full_trace = trace
+class TestSerialParityNumpy(NumpyBackend, TestSerialParity):
+    pass
 
-    ref_d, ref_i, ref_trace = point_filter_partial(
-        query_point, q, ct, cand, ub, k, center_dists_row=row)
-    d, i, trace = scan_query_partial(flat, query_point, row, cand, ub, k)
-    assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
-    assert vars(trace) == vars(ref_trace)
-    return full_trace
+
+def _assert_kernels_match(ct, queries, members, rows, cand, ub, k):
+    """Both entry points, called once for the query block ``members``,
+    return the reference's arrays and its whole ``ScanTrace`` per query
+    (``steps`` and ``breaks`` included, which ``JoinStats`` does not
+    aggregate); returns the full scans' breaks."""
+    _, backend = engine.flat_backend(flat_targets(ct))
+    full = engine.scan_query_full(backend, queries[members], rows, cand,
+                                  ub, k)
+    partial = engine.scan_query_partial(backend, queries[members], rows,
+                                        cand, ub, k)
+    breaks = 0
+    for local, q in enumerate(members):
+        heap, ref_trace = point_filter_full(
+            queries[q], q, ct, cand, ub, k, center_dists_row=rows[local])
+        ref_d, ref_i = heap.sorted_items()
+        (d, i), trace = full[0][local], full[1][local]
+        assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
+        assert vars(trace) == vars(ref_trace)
+        breaks += trace.breaks
+
+        ref_d, ref_i, ref_trace = point_filter_partial(
+            queries[q], q, ct, cand, ub, k, center_dists_row=rows[local])
+        (d, i), trace = partial[0][local], partial[1][local]
+        assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
+        assert vars(trace) == vars(ref_trace)
+    return breaks
 
 
 def _assert_plan_matches(queries, targets, k, plan_seed):
-    """:func:`_assert_kernels_match` for every query of one plan, with
-    the driver's level-1 candidates and bounds; returns the breaks."""
+    """:func:`_assert_kernels_match` for every query cluster of one
+    plan, with the driver's level-1 candidates and bounds; returns the
+    breaks."""
     plan = prepare_clusters(queries, targets,
                             np.random.default_rng(plan_seed))
     state = plan.level1_for(TopKPredicate(k))
     ct = plan.target_clusters
-    flat = flat_targets(ct)
     cq = plan.query_clusters
     breaks = 0
     for qc in range(cq.n_clusters):
         members = cq.members[qc]
         cand = state.candidates[qc]
         rows = center_distance_rows(queries[members], ct, cand)
-        for q, row in zip(members, rows):
-            breaks += _assert_kernels_match(
-                flat, ct, queries[q], q, row, cand, state.bounds[qc],
-                k).breaks
+        breaks += _assert_kernels_match(ct, queries, members, rows, cand,
+                                        state.bounds[qc], k)
     return breaks
 
 
@@ -196,8 +230,7 @@ class TestKernelTraceParity:
         k = 4
         plan = prepare_clusters(queries, targets, np.random.default_rng(0))
         ct = plan.target_clusters
-        flat = flat_targets(ct)
-        assert (flat.sizes() == 0).any()
+        assert (flat_targets(ct).sizes() == 0).any()
         every = np.arange(ct.n_clusters)
         rows = center_distance_rows(queries, ct, every)
         ubs = plan.level1_for(TopKPredicate(k)).bounds
@@ -205,8 +238,12 @@ class TestKernelTraceParity:
             for q in plan.query_clusters.members[qc]:
                 cand = every[np.argsort(rows[q], kind="stable")]
                 for ub in (ubs[qc], np.inf):
-                    _assert_kernels_match(flat, ct, queries[q], q, rows[q],
+                    _assert_kernels_match(ct, queries, [q], rows[q:q + 1],
                                           cand, ub, k)
+
+
+class TestKernelTraceParityNumpy(NumpyBackend, TestKernelTraceParity):
+    pass
 
 
 class TestShardedParity:
@@ -230,7 +267,17 @@ class TestShardedParity:
                                               method):
         result = knn_join(clustered_points, clustered_points, 4,
                           method=method, workers=2, pool="thread")
-        assert result.stats.extra["kernel_tier"] == "numpy-flat"
+        assert result.stats.extra["kernel_tier"] == loaded_tier()
+
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_kernel_tier_of_process_workers(self, clustered_points, method):
+        result = knn_join(clustered_points, clustered_points, 4,
+                          method=method, workers=2, pool="process")
+        assert result.stats.extra["kernel_tier"] == loaded_tier()
+
+
+class TestShardedParityNumpy(NumpyBackend, TestShardedParity):
+    pass
 
 
 #: ``JoinStats.summary()`` keys of the work counters (the rest of the
@@ -280,3 +327,7 @@ class TestRoundTrips:
         assert result.audit.funnel == reference.audit.funnel
         brute = knn_join(queries, clustered_points, 5, method="brute")
         assert np.array_equal(result.indices, brute.indices)
+
+
+class TestRoundTripsNumpy(NumpyBackend, TestRoundTrips):
+    pass

@@ -73,6 +73,15 @@ class TestBasics:
         assert np.array_equal(response.indices, direct.indices)
         assert np.array_equal(response.distances, direct.distances)
 
+    def test_default_engine_is_the_host_flat_tier(self, data):
+        targets, queries = data
+        with KNNServer(max_wait_s=0.002) as srv:
+            response = srv.query(queries[:4], targets, k=5)
+        direct = knn_join(queries[:4], targets, 5, method="ti-flat")
+        assert response.engine == "ti-flat"
+        assert np.array_equal(response.indices, direct.indices)
+        assert np.array_equal(response.distances, direct.distances)
+
 
 class TestValidation:
     def test_primary_engine_must_support_prepared_index(self):
