@@ -14,6 +14,10 @@ The two-landmark lower bound can be negative (when the clusters
 overlap); it is still a valid lower bound since distances are
 non-negative.  All functions accept scalars or numpy arrays and
 broadcast.
+
+:func:`nearest_columns` is the one "k nearest" routine of Step 1 and of
+``brute``: a GEMM-form shortlist, widened by a forward-error bound
+(derived in ``docs/INDEX.md``), re-ranked in the direct form.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "euclidean", "euclidean_many", "pairwise_distances",
+    "expanded_sq_distances", "nearest_columns",
     "lb_one_landmark", "ub_one_landmark",
     "lb_two_landmarks", "ub_two_landmarks",
     "distance_flops",
@@ -52,6 +57,145 @@ def pairwise_distances(a, b):
     b = np.asarray(b, dtype=np.float64)
     diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+_EPS = np.finfo(np.float64).eps
+#: Largest squared norm the expanded form is trusted with: every
+#: partial sum of ‖a‖² + ‖b‖² − 2a·b then stays below 2**1022.
+_SQ_NORM_LIMIT = 2.0 ** 1019
+#: Widest dimension the bound's second-order terms are absorbed for.
+_DIM_LIMIT = 2 ** 25
+#: Error one product or sum may take from underflow, flush-to-zero
+#: included: the smallest normal float64.
+_TINY = 2.0 ** -1022
+#: Elements in one block of the expanded matrix, and in one block of
+#: direct-form differences (16 MB each).
+_BLOCK_ELEMS = 2 ** 21
+#: At most this many |A| x |B| x d elements, the direct form costs less
+#: than the GEMM shortlist's fixed numpy overhead.
+_DIRECT_MAX_ELEMS = 2 ** 15
+
+
+def _gamma(n):
+    """Forward-error constant γ_n = nε / (1 − nε)."""
+    return n * _EPS / (1.0 - n * _EPS)
+
+
+def _sq_norms(x):
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _expansion_trusted(a_sq, b_sq, dim):
+    """Whether the expanded form's error bound holds for these norms."""
+    return bool(a_sq.size and b_sq.size and dim < _DIM_LIMIT
+                and np.isfinite(a_sq).all() and np.isfinite(b_sq).all()
+                and max(a_sq.max(), b_sq.max()) <= _SQ_NORM_LIMIT)
+
+
+def _expansion_error(a_sq, b_sq_max, dim):
+    """Per-row bound on |expanded − direct| squared distance.
+
+    ``4γ_(d+4)(‖a‖² + max‖b‖²)`` covers the rounding of both forms,
+    ``(10d + 16)·2**-1022`` their underflow (``docs/INDEX.md``).
+    """
+    return (4.0 * _gamma(dim + 4) * (a_sq + b_sq_max)
+            + (10 * dim + 16) * _TINY)
+
+
+def _expanded_block(a, a_sq, b, b_sq):
+    """ĝ = (‖a‖² − 2a·b) + ‖b‖², one GEMM for the whole block."""
+    g = a @ b.T
+    g *= -2.0
+    g += a_sq[:, None]
+    g += b_sq[None, :]
+    return g
+
+
+def expanded_sq_distances(a, b):
+    """Squared distances in the expanded (GEMM) form, with their bound.
+
+    Returns ``(g, err)``: the |A| x |B| matrix ‖a‖² + ‖b‖² − 2a·b and
+    per-row ``err`` with ``|g - direct²| <= err[:, None]``, where
+    ``direct²`` is the squared distance :func:`pairwise_distances`
+    takes the root of.  ``(None, None)`` when the bound cannot be
+    trusted (non-finite norms, or norms near overflow).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a_sq = _sq_norms(a)
+    b_sq = _sq_norms(b)
+    if not _expansion_trusted(a_sq, b_sq, a.shape[1]):
+        return None, None
+    return (_expanded_block(a, a_sq, b, b_sq),
+            _expansion_error(a_sq, b_sq.max(), a.shape[1]))
+
+
+def nearest_columns(a, b, k):
+    """Each row of ``a``'s ``k`` nearest rows of ``b``, as the direct
+    form ranks them.
+
+    Returns ``(distances, indices)``, both ``(|A|, k)``, each row
+    ordered by (distance, index); every distance is bit-equal to the
+    matching :func:`pairwise_distances` entry.  One GEMM per row block
+    gives the expanded squared distances ``ĝ``; a pair survives when
+    ``ĝ`` is within the error bound of the row's k-th smallest, and
+    only survivors are re-ranked in the direct form.  When the bound
+    cannot be trusted, ``k = |B|``, or the problem is too small for the
+    GEMM to pay, every pair survives: the re-rank *is* the direct form.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n_a, dim = a.shape
+    n_b = b.shape[0]
+    k = int(k)
+    if not 1 <= k <= n_b:
+        raise ValueError("k must be in [1, %d]" % n_b)
+    distances = np.empty((n_a, k), dtype=np.float64)
+    indices = np.empty((n_a, k), dtype=np.int64)
+    shortlist = k < n_b and n_a * n_b * dim > _DIRECT_MAX_ELEMS
+    if shortlist:
+        a_sq = _sq_norms(a)
+        b_sq = _sq_norms(b)
+        shortlist = _expansion_trusted(a_sq, b_sq, dim)
+    if not shortlist:
+        block = max(1, _BLOCK_ELEMS // max(1, n_b * dim))
+        for start in range(0, n_a, block):
+            stop = min(start + block, n_a)
+            dense = pairwise_distances(a[start:stop], b)
+            take = np.argsort(dense, axis=1, kind="stable")[:, :k]
+            distances[start:stop] = dense[np.arange(stop - start)[:, None],
+                                          take]
+            indices[start:stop] = take
+        return distances, indices
+
+    err = _expansion_error(a_sq, b_sq.max(), dim)
+    block = max(1, _BLOCK_ELEMS // n_b)
+    for start in range(0, n_a, block):
+        stop = min(start + block, n_a)
+        g = _expanded_block(a[start:stop], a_sq[start:stop], b, b_sq)
+        kth = (g.min(axis=1) if k == 1
+               else np.partition(g, k - 1, axis=1)[:, k - 1])
+        cutoff = (kth + 2.0 * err[start:stop]) * (1.0 + 8.0 * _EPS)
+        rows, cols = np.nonzero(g <= cutoff[:, None])
+        dists = _direct_pairs(a[start:stop], b, rows, cols)
+        # Stable, and ``cols`` ascend within a row: ties keep index order.
+        order = np.lexsort((dists, rows))
+        first = np.searchsorted(rows, np.arange(stop - start))
+        take = order[first[:, None] + np.arange(k)]
+        distances[start:stop] = dists[take]
+        indices[start:stop] = cols[take]
+    return distances, indices
+
+
+def _direct_pairs(a, b, rows, cols):
+    """Direct-form distances of the pairs ``(a[rows], b[cols])``."""
+    out = np.empty(rows.size, dtype=np.float64)
+    step = max(1, _BLOCK_ELEMS // max(1, a.shape[1]))
+    for start in range(0, rows.size, step):
+        stop = min(start + step, rows.size)
+        diff = a[rows[start:stop]] - b[cols[start:stop]]
+        out[start:stop] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
 
 
 def distance_flops(d):

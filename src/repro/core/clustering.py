@@ -19,13 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import pairwise_distances
+from .bounds import nearest_columns, pairwise_distances
 
 __all__ = ["ClusteredSet", "cluster_points", "center_distances"]
-
-#: Row chunk used when forming the point-to-centre distance matrix, to
-#: bound host memory on high-dimensional sets.
-_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -124,17 +120,10 @@ def cluster_points(points, center_indices, sort_descending=False):
     n = points.shape[0]
     m = centers.shape[0]
 
-    assignment = np.empty(n, dtype=np.int64)
-    dist_to_center = np.empty(n, dtype=np.float64)
-    # Bound the (rows, m, d) broadcast intermediate to ~64M elements.
-    dim = points.shape[1]
-    chunk = max(1, min(_CHUNK_ROWS, 2 ** 26 // max(1, m * dim)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = pairwise_distances(points[start:stop], centers)
-        assignment[start:stop] = np.argmin(block, axis=1)
-        dist_to_center[start:stop] = block[
-            np.arange(stop - start), assignment[start:stop]]
+    # The (distance, index) order is argmin's first-minimum rule.
+    dist_to_center, assignment = nearest_columns(points, centers, 1)
+    dist_to_center = dist_to_center[:, 0]
+    assignment = assignment[:, 0]
 
     members = []
     member_dists = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import pairwise_distances
+from . import bounds
 
 __all__ = [
     "determine_landmark_count", "select_landmarks_random_spread",
@@ -50,8 +50,12 @@ def determine_landmark_count(n, memory_budget_bytes=None, float_bytes=4):
 def select_landmarks_random_spread(points, m, rng, trials=LANDMARK_TRIALS):
     """Pick ``m`` landmarks by the paper's random-spread heuristic.
 
-    Draw ``m`` random points ``trials`` times; keep the draw whose sum
-    of pairwise distances ``S`` is largest.
+    Draw ``m`` random points ``trials`` times; keep the first draw
+    whose sum of pairwise distances ``S`` (direct form) is largest.
+    Each draw's ``S`` is first bracketed from one GEMM
+    (:func:`_spread_interval`); a draw whose interval clears every
+    rival's is the winner unsummed, and only draws whose intervals
+    overlap the best are summed in the direct form.
 
     Parameters
     ----------
@@ -76,22 +80,49 @@ def select_landmarks_random_spread(points, m, rng, trials=LANDMARK_TRIALS):
     if m == n:
         return np.arange(n, dtype=np.int64)
 
-    best_indices = None
-    best_sum = -np.inf
-    for _ in range(max(1, int(trials))):
-        candidate = rng.choice(n, size=m, replace=False)
-        spread = _pairwise_sum(points[candidate])
-        if spread > best_sum:
-            best_sum = spread
-            best_indices = candidate
+    draws = [rng.choice(n, size=m, replace=False)
+             for _ in range(max(1, int(trials)))]
+    # Small subsets are summed directly: the GEMM would not pay.
+    if m * m * points.shape[1] > bounds._DIRECT_MAX_ELEMS:
+        intervals = [_spread_interval(points[draw]) for draw in draws]
+        if None not in intervals:
+            best_low = max(low for low, _ in intervals)
+            draws = [draw for draw, (_, high) in zip(draws, intervals)
+                     if high >= best_low]
+    best_indices = draws[0]
+    if len(draws) > 1:
+        best_sum = -np.inf
+        for draw in draws:
+            spread = _pairwise_sum(points[draw])
+            if spread > best_sum:
+                best_sum = spread
+                best_indices = draw
     return np.asarray(best_indices, dtype=np.int64)
+
+
+def _spread_interval(subset):
+    """``(low, high)`` around :func:`_pairwise_sum` from one GEMM.
+
+    Each expanded root is within ``sqrt(err)`` of its direct twin
+    (``|√x − √y| <= √|x − y|``); both sums of ``M = m²`` non-negative
+    terms are within ``γ_M`` of exact.  The half-width doubles those
+    terms to absorb the second-order ones and its own rounding.
+    ``None`` when the expanded form's bound cannot be trusted.
+    """
+    g, err = bounds.expanded_sq_distances(subset, subset)
+    if g is None:
+        return None
+    total = float(np.sqrt(np.maximum(g, 0.0)).sum())
+    slack = float(subset.shape[0] * np.sqrt(err).sum())
+    half_width = 2.0 * (slack + 2.0 * bounds._gamma(g.size + 1) * total)
+    return (total - half_width) / 2.0, (total + half_width) / 2.0
 
 
 def _pairwise_sum(subset):
     """Sum of all pairwise distances within a point subset."""
     if subset.shape[0] < 2:
         return 0.0
-    dists = pairwise_distances(subset, subset)
+    dists = bounds.pairwise_distances(subset, subset)
     # Each unordered pair appears twice in the full matrix.
     return float(dists.sum() / 2.0)
 

@@ -34,7 +34,7 @@ import os
 import numpy as np
 
 from .. import obs
-from ..core.bounds import pairwise_distances
+from ..core.bounds import nearest_columns
 from ..core.clustering import ClusteredSet, center_distances, cluster_points
 from ..core.landmarks import (determine_landmark_count,
                               select_landmarks_random_spread)
@@ -415,9 +415,8 @@ class Index:
         with obs.span("index.update", op="add", rows=int(len(points))):
             self._materialize()
             ct = self._next_clusters()
-            block = pairwise_distances(points, ct.centers)
-            assignment = np.argmin(block, axis=1)
-            dists = block[np.arange(len(points)), assignment]
+            dists, assignment = nearest_columns(points, ct.centers, 1)
+            dists, assignment = dists[:, 0], assignment[:, 0]
             base = self.targets.shape[0]
             new_ids = np.arange(base, base + len(points), dtype=np.int64)
 

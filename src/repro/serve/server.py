@@ -589,12 +589,19 @@ class KNNServer:
                     graph=index.graph, ef=first.ef, dead_mask=dead,
                     **first.options)
             elif degraded:
+                # The degraded engine knows no tombstones: run it on the
+                # live rows and map its ids back to row ids.
                 spec = self._degraded_spec
+                live = first.index.active_ids()
+                targets = first.index.targets
+                if live.size < len(targets):
+                    targets = targets[live]
                 result = execute(
-                    spec, batch, first.index.targets, first.k,
+                    spec, batch, targets, first.k,
                     rng=self._rng, device=self._device,
                     workers=self.config.workers, pool=self.config.pool,
                     explain=first.explain)
+                result.indices = live[result.indices]
             else:
                 spec = self._spec
                 join_plan = first.index.join_plan(batch)

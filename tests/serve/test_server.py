@@ -244,6 +244,26 @@ class TestDegradation:
             assert np.allclose(response.distances, direct.distances[i],
                                rtol=0, atol=1e-9)
 
+    def test_degraded_batch_skips_removed_rows(self, data, monkeypatch):
+        targets, _ = data
+        server = KNNServer(method="ti-cpu", degraded_method="brute",
+                           max_wait_s=0.005)
+        run_batch = server._run_batch
+        monkeypatch.setattr(
+            server, "_run_batch",
+            lambda requests, pressure: run_batch(requests, 1.0))
+        index, _ = server.store.get(targets)
+        index.remove(np.arange(5))
+        queries = targets[:5] + 1e-3
+        with server:
+            response = server.query(queries, targets, k=1)
+        assert response.degraded
+        live = index.active_ids()
+        direct = knn_join(queries, targets[live], 1, method="brute")
+        assert not np.array_equal(response.indices[:, 0], np.arange(5))
+        assert np.array_equal(response.indices, live[direct.indices])
+        assert np.array_equal(response.distances, direct.distances)
+
     def test_degradation_disabled(self, data):
         targets, queries = data
         server = KNNServer(method="ti-cpu", degraded_method=None,
