@@ -19,7 +19,9 @@ baseline) with CUBLAS-grade FMA throughput, full coalescing, and every
 distance stored to and re-read from global memory.  The selection
 stage is executed warp-vectorised per query thread with a bounded
 max-heap, whose data-dependent update pattern gives it realistic (not
-perfect) regularity.  Numeric results come from numpy and are exact.
+perfect) regularity.  Numeric results come from
+:func:`~repro.core.bounds.nearest_columns`: exact, and ``brute``'s
+(distance, index) order on ties.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from ..gpu.executor import WarpExecutor
 from ..gpu.kernel import DEFAULT_BLOCK_SIZE, LaunchConfig, makespan
 from ..gpu.memory import GlobalMemory
 from ..gpu.profiler import KernelProfile, PipelineProfile
+from ..core.bounds import nearest_columns
 from ..core.result import JoinStats, KNNResult
 
 __all__ = ["cublas_knn", "plan_partitions", "ENGINE"]
@@ -80,18 +83,14 @@ def cublas_knn(queries, targets, k, device=None, cost_model=None):
     distances = np.empty((n_q, k), dtype=np.float64)
     indices = np.empty((n_q, k), dtype=np.int64)
 
-    # Precompute the squared norms the GEMM formulation uses:
-    # d(q,t)^2 = |q|^2 + |t|^2 - 2 q.t
-    t_norms = np.einsum("ij,ij->i", targets, targets)
-
     config = LaunchConfig(block_size=DEFAULT_BLOCK_SIZE, regs_per_thread=32)
     for start, stop in partitions:
         group = queries[start:stop]
         _check_capacity(group.shape[0], n_t, dim, device)
-        q_norms = np.einsum("ij,ij->i", group, group)
-        sq = q_norms[:, None] + t_norms[None, :] - 2.0 * group @ targets.T
-        np.maximum(sq, 0.0, out=sq)
-        block = np.sqrt(sq)
+        # The exact numeric result: the GEMM shortlist, re-ranked in the
+        # direct form and ordered by (distance, index), as ``brute``.
+        distances[start:stop], indices[start:stop] = nearest_columns(
+            group, targets, k)
 
         # Each partition is a separate, *serialised* pair of launches:
         # group i's selection must finish before group i+1's GEMM can
@@ -102,8 +101,8 @@ def cublas_knn(queries, targets, k, device=None, cost_model=None):
                                   len(select_profile.warp_cycles))
         _account_gemm(gemm_profile, group.shape[0], n_t, dim, device,
                       cost_model)
-        _run_select_kernel(select_profile, block, k, distances, indices,
-                           start, device, cost_model)
+        _run_select_kernel(select_profile, group.shape[0], n_t, k, device,
+                           cost_model)
         for profile, mark in ((gemm_profile, gemm_mark),
                               (select_profile, select_mark)):
             span = makespan(profile.warp_cycles[mark:],
@@ -189,8 +188,7 @@ def _account_gemm(profile, n_q, n_t, dim, device, cost_model):
     profile.count("distance_matrix_bytes", pairs * _FLOAT)
 
 
-def _run_select_kernel(profile, block, k, distances, indices, row_offset,
-                       device, cost_model):
+def _run_select_kernel(profile, n_rows, n_t, k, device, cost_model):
     """Selection kernel: one thread per query scans its distance row.
 
     Each lane streams its own row from global memory (row-major rows of
@@ -200,18 +198,8 @@ def _run_select_kernel(profile, block, k, distances, indices, row_offset,
     data-dependent, so warps diverge mildly; the dominant cost is the
     memory traffic of re-reading the full matrix.
     """
-    n_rows, n_t = block.shape
     warp = device.warp_size
     txn = device.transaction_bytes
-
-    # Exact numeric result, vectorised (equivalent to each thread's
-    # k-bounded max-heap over its row).
-    part = np.argpartition(block, min(k, n_t) - 1, axis=1)[:, :k]
-    row_ids = np.arange(n_rows)[:, None]
-    part_d = block[row_ids, part]
-    order = np.lexsort((part, part_d), axis=1)
-    distances[row_offset:row_offset + n_rows] = part_d[row_ids, order]
-    indices[row_offset:row_offset + n_rows] = part[row_ids, order]
 
     # Accounting: each lane streams its own |T|-long row (rows are |T|
     # floats apart, so lanes never share a segment, but each lane's

@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "euclidean", "euclidean_many", "pairwise_distances",
-    "expanded_sq_distances", "nearest_columns",
+    "expanded_sq_distances", "nearest_columns", "masked_nearest_columns",
     "lb_one_landmark", "ub_one_landmark",
     "lb_two_landmarks", "ub_two_landmarks",
     "distance_flops",
@@ -150,14 +150,14 @@ def nearest_columns(a, b, k):
     k = int(k)
     if not 1 <= k <= n_b:
         raise ValueError("k must be in [1, %d]" % n_b)
-    distances = np.empty((n_a, k), dtype=np.float64)
-    indices = np.empty((n_a, k), dtype=np.int64)
     shortlist = k < n_b and n_a * n_b * dim > _DIRECT_MAX_ELEMS
     if shortlist:
         a_sq = _sq_norms(a)
         b_sq = _sq_norms(b)
         shortlist = _expansion_trusted(a_sq, b_sq, dim)
     if not shortlist:
+        distances = np.empty((n_a, k), dtype=np.float64)
+        indices = np.empty((n_a, k), dtype=np.int64)
         block = max(1, _BLOCK_ELEMS // max(1, n_b * dim))
         for start in range(0, n_a, block):
             stop = min(start + block, n_a)
@@ -168,23 +168,69 @@ def nearest_columns(a, b, k):
             indices[start:stop] = take
         return distances, indices
 
-    err = _expansion_error(a_sq, b_sq.max(), dim)
+    return _shortlist(a, a_sq, b, b_sq, k)[:2]
+
+
+def masked_nearest_columns(a, b, k, b_sq, allowed, pair_distances):
+    """:func:`nearest_columns` over the ``allowed`` pairs only.
+
+    ``b_sq`` are ``b``'s squared norms (cached by the caller),
+    ``allowed`` is an ``(|A|, |B|)`` boolean mask with at least ``k``
+    true entries per row, and ``pair_distances(a, b, rows, cols)`` is
+    the direct form the survivors are re-ranked in.  Rows the error
+    bound does not cover (see :func:`expanded_sq_distances`) re-rank
+    every allowed pair, so the result is exact for any finite input.
+
+    Returns ``(distances, indices, reranked)``: the ``(|A|, k)`` pairs
+    ordered by (distance, index), and the number of re-ranked pairs.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    return _shortlist(a, _sq_norms(a), b, b_sq, int(k), allowed,
+                      pair_distances)
+
+
+def _shortlist(a, a_sq, b, b_sq, k, allowed=None, pair_distances=None):
+    """The GEMM shortlist and its re-rank; ``(distances, indices,
+    reranked)``."""
+    pair_distances = pair_distances or _direct_pairs
+    n_a, dim = a.shape
+    n_b = b.shape[0]
+    b_max = b_sq.max()
+    err = _expansion_error(a_sq, b_max, dim)
+    loose = ~(np.isfinite(a_sq) & (a_sq <= _SQ_NORM_LIMIT)) | (
+        not (b_max <= _SQ_NORM_LIMIT and dim < _DIM_LIMIT))
+    distances = np.empty((n_a, k), dtype=np.float64)
+    indices = np.empty((n_a, k), dtype=np.int64)
+    reranked = 0
     block = max(1, _BLOCK_ELEMS // n_b)
     for start in range(0, n_a, block):
         stop = min(start + block, n_a)
         g = _expanded_block(a[start:stop], a_sq[start:stop], b, b_sq)
+        mask = None if allowed is None else allowed[start:stop]
+        if mask is not None:
+            g[~mask] = np.inf
         kth = (g.min(axis=1) if k == 1
                else np.partition(g, k - 1, axis=1)[:, k - 1])
         cutoff = (kth + 2.0 * err[start:stop]) * (1.0 + 8.0 * _EPS)
-        rows, cols = np.nonzero(g <= cutoff[:, None])
-        dists = _direct_pairs(a[start:stop], b, rows, cols)
+        rows, cols = _survivors(g, cutoff, loose[start:stop], mask)
+        dists = pair_distances(a[start:stop], b, rows, cols)
+        reranked += rows.size
         # Stable, and ``cols`` ascend within a row: ties keep index order.
         order = np.lexsort((dists, rows))
         first = np.searchsorted(rows, np.arange(stop - start))
         take = order[first[:, None] + np.arange(k)]
         distances[start:stop] = dists[take]
         indices[start:stop] = cols[take]
-    return distances, indices
+    return distances, indices, reranked
+
+
+def _survivors(g, cutoff, loose, mask):
+    """``(rows, cols)`` of the pairs within their row's cutoff; a loose
+    row keeps every allowed pair."""
+    keep = g <= cutoff[:, None]
+    if loose.any():
+        keep[loose] = True if mask is None else mask[loose]
+    return np.divmod(np.flatnonzero(keep), g.shape[1])
 
 
 def _direct_pairs(a, b, rows, cols):

@@ -44,6 +44,19 @@ def check_points(points, name="points", require_finite=False):
     arr = as_points(points, name=name)
     if arr.shape[0] == 0:
         raise ValidationError("%s must be non-empty" % name)
-    if require_finite and not np.isfinite(arr).all():
+    if require_finite and not _all_finite(arr):
         raise ValidationError("%s contain NaN or infinite values" % name)
     return arr
+
+
+def _all_finite(arr):
+    """``np.isfinite(arr).all()`` in one pass when it holds.
+
+    Any NaN or infinite element makes the sum NaN or infinite, so a
+    finite sum proves every element finite; a sum that is not finite
+    (which finite elements can also reach by overflow) falls back to
+    the elementwise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(arr, axis=None)
+    return bool(np.isfinite(total)) or bool(np.isfinite(arr).all())

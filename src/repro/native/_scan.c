@@ -16,6 +16,11 @@
  * Per query, out_d/out_i (k wide) hold the neighbours, ascending, and
  * counters (NCOUNT wide) hold steps, breaks, examined, accepted, n_out.
  * diff (d long) and td/ti (k long) are the caller's scratch.
+ *
+ * A query whose candidate clusters hold at least dense_min members
+ * within its own bound (dense_pick, repro.native.scan_numpy's rule
+ * replayed) is not scanned: its n_out is -1 and the caller answers it
+ * on the dense route.
  */
 #include <math.h>
 #include <string.h>
@@ -105,13 +110,89 @@ static void offer_pair(double *hd, i64 *hi, i64 k, i64 *n, double dist,
     }
 }
 
+static i64 cluster_size(const i64 *offsets, i64 tc)
+{
+    return offsets[tc + 1] - offsets[tc];
+}
+
+/* Members of the candidate clusters with row - head <= bound. */
+static i64 mass_within(const double *row, const double *member_dists,
+                       const i64 *offsets, const i64 *cand, i64 n_cand,
+                       double bound)
+{
+    i64 mass = 0;
+    for (i64 j = 0; j < n_cand; j++) {
+        i64 tc = cand[j], size = cluster_size(offsets, tc);
+        if (size && row[tc] - member_dists[offsets[tc]] <= bound)
+            mass += size;
+    }
+    return mass;
+}
+
+/* The smallest row + head at which the candidate clusters, taken in
+ * that order, hold k members; INFINITY when they never do. */
+static double kth_bound(const double *row, const double *member_dists,
+                        const i64 *offsets, const i64 *cand, i64 n_cand,
+                        i64 k)
+{
+    double reached = -INFINITY;
+    for (i64 held = 0; held < k;) {
+        double next = INFINITY;
+        for (i64 j = 0; j < n_cand; j++) {
+            i64 tc = cand[j];
+            if (!cluster_size(offsets, tc))
+                continue;
+            double key = row[tc] + member_dists[offsets[tc]];
+            if (key > reached && key < next)
+                next = key;
+        }
+        if (next == INFINITY)
+            return INFINITY;
+        for (i64 j = 0; j < n_cand; j++) {
+            i64 tc = cand[j], size = cluster_size(offsets, tc);
+            if (size && row[tc] + member_dists[offsets[tc]] == next)
+                held += size;
+        }
+        reached = next;
+    }
+    return reached;
+}
+
+/* Whether a query goes dense.  bound1, the row + head of the nearest
+ * candidate holding k members alone, is at least the k-th bound, so a
+ * query it rejects needs no ordering of the clusters. */
+static int dense_pick(const double *row, const double *member_dists,
+                      const i64 *offsets, const i64 *cand, i64 n_cand,
+                      i64 k, i64 dense_min)
+{
+    double bound1 = INFINITY;
+    for (i64 j = 0; j < n_cand; j++) {
+        i64 tc = cand[j];
+        if (cluster_size(offsets, tc) < k)
+            continue;
+        double key = row[tc] + member_dists[offsets[tc]];
+        if (key < bound1)
+            bound1 = key;
+    }
+    if (mass_within(row, member_dists, offsets, cand, n_cand, bound1)
+            < dense_min)
+        return 0;
+    double bound = kth_bound(row, member_dists, offsets, cand, n_cand, k);
+    return bound < INFINITY
+        && mass_within(row, member_dists, offsets, cand, n_cand, bound)
+            >= dense_min;
+}
+
 void scan(int full, ddot_fn ddot, const double *points, i64 d,
           const i64 *member_idx, const double *member_dists,
           const i64 *offsets, const double *queries, const double *rows,
           i64 nq, i64 row_stride, const i64 *cand, i64 n_cand, double ub,
-          i64 k, double rtol, double *diff, double *td, i64 *ti,
-          double *out_d, i64 *out_i, i64 *counters)
+          i64 k, double rtol, i64 dense_min, double *diff, double *td,
+          i64 *ti, double *out_d, i64 *out_i, i64 *counters)
 {
+    i64 cand_mass = 0;
+    for (i64 j = 0; j < n_cand; j++)
+        cand_mass += cluster_size(offsets, cand[j]);
     for (i64 i = 0; i < nq; i++) {
         const double *q = queries + i * d, *row = rows + i * row_stride;
         double *hd = out_d + i * k, theta = ub;
@@ -121,6 +202,12 @@ void scan(int full, ddot_fn ddot, const double *points, i64 d,
             hi[j] = -1;
         }
         c[STEPS] = c[BREAKS] = c[EXAMINED] = c[ACCEPTED] = 0;
+        if (cand_mass >= dense_min
+                && dense_pick(row, member_dists, offsets, cand, n_cand, k,
+                              dense_min)) {
+            c[N_OUT] = -1;
+            continue;
+        }
         for (i64 j = 0; j < n_cand; j++) {
             i64 tc = cand[j];
             double q2c = row[tc];

@@ -36,7 +36,8 @@ import numpy as np
 
 from ..core.filters import BOUND_COMPARISON_RTOL, ScanTrace
 
-__all__ = ["CKernel", "BoundScan", "load", "clear", "fallback_reason"]
+__all__ = ["CKernel", "BoundScan", "NEVER_DENSE", "load", "clear",
+           "fallback_reason"]
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_scan.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -55,9 +56,11 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _ARGTYPES = (ctypes.c_int, _P, _P, _I, _P, _P, _P, _P, _P, _I, _I, _P, _I, _D,
-             _I, _D, _P, _P, _P, _P, _P, _P)
+             _I, _D, _I, _P, _P, _P, _P, _P, _P)
 #: Per-query counter columns the kernels write.
 _NCOUNT = 5
+#: A ``dense_min`` no candidate mass reaches: the dense route is off.
+NEVER_DENSE = 2 ** 62
 
 logger = logging.getLogger("repro.native")
 
@@ -94,10 +97,12 @@ class BoundScan:
     Holds the layout's pointers and its own ``diff`` scratch, so the
     thread-pool shards that scan concurrently (ctypes releases the GIL)
     never share a buffer.  Built per :meth:`FlatScan.scan` call and
-    never pickled.
+    never pickled.  ``dense_min`` is the dense route's pick threshold
+    (:func:`repro.native.scan_numpy.dense_pick`); the default never
+    picks it.
     """
 
-    def __init__(self, kernel, flat):
+    def __init__(self, kernel, flat, dense_min=NEVER_DENSE):
         arrays = ((flat.points, np.float64), (flat.member_idx, np.int64),
                   (flat.member_dists, np.float64), (flat.offsets, np.int64))
         if any(a.dtype != dtype or not a.flags.c_contiguous
@@ -105,17 +110,21 @@ class BoundScan:
             raise ValueError("flat layout arrays must be canonical")
         self.flat = flat
         self.fn = kernel.fn
+        self.dense_min = int(dense_min)
         self.diff = np.empty(flat.points.shape[1])
         self.layout = (kernel.ddot, _ptr(flat.points), flat.points.shape[1],
                        _ptr(flat.member_idx), _ptr(flat.member_dists),
                        _ptr(flat.offsets))
 
     def scan(self, full, points, rows, cand, ub, k):
-        """``(values, traces)`` for every query of one query cluster.
+        """``(values, traces, dense)`` for the queries of one query
+        cluster.
 
         ``points`` (nq, d) and ``rows`` (nq, m) are the cluster's active
         queries and their centre-distance rows; a value is the sorted
-        ``(dists, idx)`` pair of one query.
+        ``(dists, idx)`` pair of one query.  ``dense`` lists the
+        positions the dense route picked; their value and trace are
+        ``None``.
         """
         points = np.ascontiguousarray(points, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -131,20 +140,27 @@ class BoundScan:
         counters = np.empty((nq, _NCOUNT), dtype=np.int64)
         self.fn(full, *self.layout, _ptr(points), _ptr(rows), nq,
                 rows.shape[1], _ptr(cand), cand.size, float(ub), k,
-                BOUND_COMPARISON_RTOL, _ptr(self.diff), _ptr(out_d[nq]),
-                _ptr(out_i[nq]), _ptr(out_d), _ptr(out_i), _ptr(counters))
+                BOUND_COMPARISON_RTOL, self.dense_min, _ptr(self.diff),
+                _ptr(out_d[nq]), _ptr(out_i[nq]), _ptr(out_d), _ptr(out_i),
+                _ptr(counters))
         n_cand = int(cand.size)
         values = []
         traces = []
+        dense = []
         for i, (steps, breaks, examined, accepted, n_out) in enumerate(
                 counters.tolist()):
+            if n_out < 0:
+                dense.append(i)
+                values.append(None)
+                traces.append(None)
+                continue
             values.append((out_d[i, :n_out], out_i[i, :n_out]))
             traces.append(ScanTrace(
                 examined=examined, distance_computations=examined,
                 center_distance_computations=n_cand,
                 heap_updates=accepted if full else 0, accepted=accepted,
                 breaks=breaks, steps=steps))
-        return values, traces
+        return values, traces, dense
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,12 @@ per-cluster member lists of a
 of ragged ndarrays: one contiguous layout indexed with
 ``offsets[tc]:offsets[tc + 1]``.  A fourth array, ``heads``, holds
 each cluster's first (largest) member distance, so the full scan can
-test every candidate cluster's first member in one vector op.
+test every candidate cluster's first member in one vector op.  The
+dense level-2 route (:class:`~repro.native.engine.DenseScan`) reads two
+more per-row arrays: the squared norms of its GEMM and each row's
+cluster, which masks removed rows and pruned clusters.
 
-Packing is O(n) and allocates ~12 bytes per target point, so it is
+Packing is O(n·d) and allocates ~28 bytes per target point, so it is
 memoized per :class:`ClusteredSet` *object* (validated by a weak
 reference, the idiom of :mod:`repro.index.fingerprint`): a prepared
 plan queried many times — or sliced into query batches/shards — packs
@@ -57,6 +60,11 @@ class FlatTargets:
         largest member distance, where the early break is tested);
         ``+inf`` for an empty cluster, whose lower bound ``-inf`` is
         never pruned.
+    sq_norms:
+        (n,) float64 ``‖t‖²`` of every row of ``points``.
+    row_cluster:
+        (n,) int64 cluster of every row of ``points``; ``m`` for a row
+        in no member list (a removed row).
     """
 
     points: np.ndarray
@@ -64,6 +72,8 @@ class FlatTargets:
     member_dists: np.ndarray
     offsets: np.ndarray
     heads: np.ndarray
+    sq_norms: np.ndarray
+    row_cluster: np.ndarray
 
     @property
     def n_clusters(self):
@@ -91,9 +101,13 @@ def _pack(clustered):
     heads[nonempty] = member_dists[offsets[:-1][nonempty]]
     points = np.ascontiguousarray(
         np.asarray(clustered.points, dtype=np.float64))
+    row_cluster = np.full(points.shape[0], sizes.size, dtype=np.int64)
+    row_cluster[member_idx] = np.repeat(np.arange(sizes.size), sizes)
     return FlatTargets(points=points, member_idx=member_idx,
                        member_dists=member_dists, offsets=offsets,
-                       heads=heads)
+                       heads=heads,
+                       sq_norms=np.einsum("ij,ij->i", points, points),
+                       row_cluster=row_cluster)
 
 
 def flat_targets(clustered):

@@ -65,7 +65,7 @@ from ..core.filters import (BOUND_COMPARISON_RTOL, ScanTrace,
                             bound_comparison_tol)
 
 __all__ = ["scan_query_full", "scan_query_partial", "heap_sorted_items",
-           "select_k_flat"]
+           "select_k_flat", "dense_pick", "pair_distances"]
 
 #: Members whose exact distances are computed per vectorised batch
 #: (matches the simulated-GPU scan's window).
@@ -332,3 +332,61 @@ def scan_query_partial(flat, query_point, row, cand, ub, k):
         all_idx = np.empty(0, dtype=np.int64)
     dists, idx = select_k_flat(all_dists, all_idx, k)
     return dists, idx, trace
+
+
+def dense_pick(flat, rows, cand, k, dense_min):
+    """Which queries of one query cluster the dense route answers.
+
+    A query's own bound on its k-th distance is the smallest
+    ``row[tc] + heads[tc]`` at which the candidate clusters, taken in
+    that order, hold ``k`` members; the query goes dense when the
+    candidate clusters with ``row[tc] - heads[tc] <= bound`` (those the
+    scan could enter) hold at least ``dense_min`` members.  The C
+    kernel replays this rule with the same IEEE operations.
+
+    The candidate mass bounds every query's estimate, so a cluster
+    whose candidates hold fewer than ``dense_min`` members is rejected
+    whole; ``bound1``, the ``row + head`` of the nearest candidate that
+    holds ``k`` members alone, is at least the bound, so a query it
+    rejects is never sorted.  Returns a boolean array over the rows.
+    """
+    sizes = flat.offsets[cand + 1] - flat.offsets[cand]
+    picked = np.zeros(rows.shape[0], dtype=bool)
+    if not cand.size or sizes.sum() < dense_min:
+        return picked
+    heads = flat.heads[cand]
+    crow = rows[:, cand]
+    keys = crow + heads
+    lows = crow - heads
+
+    def mass(lows, bound):
+        return np.where(lows <= bound[:, None], sizes, 0).sum(axis=1)
+
+    bound1 = np.where(sizes >= k, keys, np.inf).min(axis=1)
+    maybe = np.flatnonzero(mass(lows, bound1) >= dense_min)
+    if maybe.size:
+        keys = keys[maybe]
+        order = np.argsort(keys, axis=1, kind="stable")
+        held = np.cumsum(sizes[order], axis=1)
+        at = np.argmax(held >= k, axis=1)
+        bound = np.take_along_axis(keys, order, axis=1)[
+            np.arange(maybe.size), at]
+        bound[held[:, -1] < k] = np.inf
+        picked[maybe] = (bound < np.inf) & (
+            mass(lows[maybe], bound) >= dense_min)
+    return picked
+
+
+def pair_distances(queries, points, rows, cols):
+    """Distances of the pairs ``(queries[rows], points[cols])`` in the
+    flat tier's form, bit-equal to the scans' (``sqrt`` of the ``t - q``
+    dot product)."""
+    out = np.empty(rows.size, dtype=np.float64)
+    step = max(1, 2 ** 21 // max(1, points.shape[1]))
+    for start in range(0, rows.size, step):
+        stop = min(start + step, rows.size)
+        diffs = points[cols[start:stop]]
+        diffs -= queries[rows[start:stop]]
+        out[start:stop] = np.sqrt(
+            (diffs[:, None, :] @ diffs[:, :, None]).ravel())
+    return out

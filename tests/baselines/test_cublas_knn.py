@@ -8,25 +8,6 @@ from repro.baselines.cublas_knn import cublas_knn, plan_partitions
 from repro.gpu.device import tesla_k20c
 
 
-def _expansion_atol(queries, targets):
-    """Largest gap two evaluations of ``sqrt(‖q‖² + ‖t‖² − 2q·t)`` may
-    show for one pair, whatever the BLAS blocking.
-
-    With ``γ_n = n·ε / (1 − n·ε)``, the norms and the doubled dot
-    product are each accurate to ``γ_d`` on their sums of |terms|, and
-    ``2·Σ|q_i·t_i| <= ‖q‖² + ‖t‖²``, so with the two additions an
-    evaluated squared distance is within ``γ_(d+2)·(‖q‖² + ‖t‖²)``.
-    ``|√a − √b| <= √|a − b|`` carries that to the distance, and two
-    evaluations differ by at most twice the bound.
-    """
-    n = queries.shape[1] + 2
-    eps = np.finfo(np.float64).eps
-    gamma = n * eps / (1.0 - n * eps)
-    scale = (np.einsum("ij,ij->i", queries, queries).max()
-             + np.einsum("ij,ij->i", targets, targets).max())
-    return 2.0 * float(np.sqrt(gamma * scale))
-
-
 class TestPlanPartitions:
     def test_fits_in_one(self):
         dev = tesla_k20c()
@@ -68,9 +49,8 @@ class TestCublasKnn:
         whole = cublas_knn(clustered_points, clustered_points, 6)
         assert partitioned.stats.extra["partitions"] > 1
         assert whole.stats.extra["partitions"] == 1
-        np.testing.assert_allclose(
-            partitioned.distances, whole.distances,
-            atol=_expansion_atol(clustered_points, clustered_points))
+        assert np.array_equal(partitioned.distances, whole.distances)
+        assert np.array_equal(partitioned.indices, whole.indices)
 
     def test_partitioning_costs_time(self, clustered_points):
         """Per-group serialization + launch overhead: the partitioned
@@ -101,6 +81,19 @@ class TestCublasKnn:
         ref = brute_force_knn(queries, targets, 4)
         res = cublas_knn(queries, targets, 4)
         assert res.matches(ref)
+
+    def test_ties_at_the_kth_place_follow_brute(self):
+        # A 1-D integer grid puts ties across the k-th place: the ids
+        # must be brute's (distance, index) pick, not any tied member.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            targets = rng.integers(0, 12, size=(40, 1)).astype(float)
+            query = rng.integers(0, 12, size=(1, 1)).astype(float)
+            k = int(rng.integers(1, 40))
+            ref = brute_force_knn(query, targets, k)
+            res = cublas_knn(query, targets, k)
+            assert np.array_equal(res.indices, ref.indices), seed
+            assert np.array_equal(res.distances, ref.distances), seed
 
     def test_invalid_k(self, clustered_points):
         with pytest.raises(ValueError):

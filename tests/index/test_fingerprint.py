@@ -53,6 +53,39 @@ class TestNormalization:
             check_points(np.array([[np.nan, 1.0]]), require_finite=True)
 
 
+class TestFiniteCheck:
+    """``check_points(require_finite=True)`` keeps the elementwise
+    verdict of ``np.isfinite(arr).all()`` with its one-pass sum."""
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+        [np.nan, np.inf]])
+    def test_non_finite_values_are_rejected(self, points, bad):
+        for seed in range(5):
+            spots = np.random.default_rng(seed).choice(
+                points.size, len(bad), replace=False)
+            arr = points.copy()
+            arr.flat[spots] = bad
+            with pytest.raises(ValidationError):
+                check_points(arr, require_finite=True)
+
+    @pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+    def test_finite_values_whose_sum_overflows_pass(self, value):
+        arr = np.full((4, 3), value)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(arr.sum())
+        assert check_points(arr, require_finite=True) is arr
+
+    def test_overflowing_sum_with_one_infinity_is_rejected(self):
+        arr = np.full((4, 3), 1.7e308)
+        arr[2, 1] = np.inf
+        with pytest.raises(ValidationError):
+            check_points(arr, require_finite=True)
+
+    def test_finite_points_pass_unchanged(self, points):
+        assert check_points(points, require_finite=True) is points
+
+
 class TestMemo:
     def test_repeat_lookup_skips_hashing(self, points, monkeypatch):
         computes = []

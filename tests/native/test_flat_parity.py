@@ -13,6 +13,12 @@ Every class runs over both level-2 backends: as written it uses the
 backend the loader picks (the C kernel wherever ``cc`` builds it), and
 its ``...Numpy`` subclass forces the numpy kernels by patching the
 loader.
+
+The counter parity cases pin the dense level-2 route off
+(``pin_ti_route``): a dense query ranks every member of its candidate
+clusters, so its counters are not ``ti-cpu``'s.  ``TestDenseRoute``
+covers that route: forced on for every query (``force_dense``), its
+distances are the TI route's and its ids brute force's.
 """
 
 import numpy as np
@@ -24,9 +30,10 @@ from repro.core.filters import (center_distance_rows, point_filter_full,
 from repro.core.predicates import TopKPredicate
 from repro.core.ti_knn import prepare_clusters
 from repro.index import Index
-from repro.native import cscan, engine
+from repro.datasets import synthetic
+from repro.native import cscan, engine, scan_numpy
 from repro.native.layout import flat_targets
-from repro.obs.funnel import funnel_from_stats
+from repro.obs.funnel import check_funnel, funnel_from_stats
 from repro.parallel import shutdown_pools
 
 #: (contender, reference options) per filter strength.
@@ -55,6 +62,27 @@ class NumpyBackend:
         shutdown_pools()
         yield
         shutdown_pools()
+
+
+@pytest.fixture
+def pin_ti_route(monkeypatch):
+    """Every query on the TI kernels: the dense route's crossover out of
+    reach."""
+    monkeypatch.setattr(engine, "DENSE_CROSSOVER", float("inf"))
+    # Shared process pools fork on first use: drop them on both sides
+    # so their workers see the same crossover as this test.
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
+@pytest.fixture
+def force_dense(monkeypatch):
+    """Every query the pick can route dense goes dense (crossover 0)."""
+    monkeypatch.setattr(engine, "DENSE_CROSSOVER", 0.0)
+    shutdown_pools()
+    yield
+    shutdown_pools()
 
 
 def rounded_mixture(seed, n):
@@ -93,6 +121,7 @@ def _assert_identical(result, reference):
         funnel_from_stats(reference.stats)
 
 
+@pytest.mark.usefixtures("pin_ti_route")
 class TestSerialParity:
     @pytest.mark.parametrize("case", ["blobs", "rounded-ties", "k-all"])
     @pytest.mark.parametrize("method,ref_options", PAIRS)
@@ -246,6 +275,7 @@ class TestKernelTraceParityNumpy(NumpyBackend, TestKernelTraceParity):
     pass
 
 
+@pytest.mark.usefixtures("pin_ti_route")
 class TestShardedParity:
     @pytest.mark.parametrize("method,ref_options", PAIRS)
     @pytest.mark.parametrize("workers,pool", [
@@ -287,6 +317,7 @@ SUMMARY_COUNTERS = ("level2_distances", "candidate_cluster_pairs",
                     "predicate_accepted_pairs")
 
 
+@pytest.mark.usefixtures("pin_ti_route")
 class TestRoundTrips:
     @pytest.mark.parametrize("method,ref_options", PAIRS)
     def test_mmap_index_round_trip(self, tmp_path, clustered_points, rng,
@@ -331,3 +362,210 @@ class TestRoundTrips:
 
 class TestRoundTripsNumpy(NumpyBackend, TestRoundTrips):
     pass
+
+
+def weak_points(seed, n, dim):
+    """Weakly clustered points: level 2 prunes almost nothing."""
+    return synthetic.high_dim_weakly_clustered(
+        n, dim, np.random.default_rng(seed), intrinsic_dim=min(dim, 16))
+
+
+def _assert_same_answers(result, reference):
+    assert np.array_equal(result.indices, reference.indices)
+    assert np.array_equal(result.distances, reference.distances)
+
+
+def _ti_and_dense(monkeypatch, queries, targets, k, method, **options):
+    """The same join on the TI route and on the dense route."""
+    runs = []
+    for crossover in (float("inf"), 0.0):
+        monkeypatch.setattr(engine, "DENSE_CROSSOVER", crossover)
+        runs.append(knn_join(queries, targets, k, method=method, seed=3,
+                             **options))
+    return runs
+
+
+class TestDenseRoute:
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_default_crossover_routes_unprunable_queries(self, method):
+        points = weak_points(1, 700, 128)
+        queries, targets = points[:100], points[100:]
+        result = knn_join(queries, targets, 10, method=method, seed=3)
+        assert result.stats.extra["dense_rows"] == len(queries)
+        assert result.stats.extra["dense_reranked"] >= 10 * len(queries)
+        brute = knn_join(queries, targets, 10, method="brute")
+        assert np.array_equal(result.indices, brute.indices)
+
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_default_crossover_keeps_pruned_queries_on_ti(
+            self, clustered_points, method):
+        result = knn_join(clustered_points, clustered_points, 5,
+                          method=method, seed=3)
+        assert result.stats.extra["dense_rows"] == 0
+
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_distances_equal_the_ti_route_ids_equal_brute(
+            self, monkeypatch, method):
+        points = weak_points(2, 500, 64)
+        queries, targets = points[:80], points[80:]
+        ti, dense = _ti_and_dense(monkeypatch, queries, targets, 7, method)
+        assert ti.stats.extra["dense_rows"] == 0
+        assert dense.stats.extra["dense_rows"] == len(queries)
+        _assert_same_answers(dense, ti)
+        brute = knn_join(queries, targets, 7, method="brute")
+        assert np.array_equal(dense.indices, brute.indices)
+
+    @pytest.mark.usefixtures("force_dense")
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_ties_at_the_kth_place_follow_distance_then_index(self, method):
+        # Integer grids: exact, tied distances in every row, and the
+        # same bits in every distance form.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(1, 4))
+            targets = rng.integers(0, 6, size=(80, dim)).astype(float)
+            queries = rng.integers(0, 6, size=(12, dim)).astype(float)
+            k = int(rng.integers(1, 30))
+            result = knn_join(queries, targets, k, method=method, seed=seed)
+            assert result.stats.extra["dense_rows"] == len(queries)
+            _assert_same_answers(
+                result, knn_join(queries, targets, k, method="brute"))
+
+    @pytest.mark.usefixtures("force_dense")
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_counters_rank_every_candidate_member(self, method):
+        points = weak_points(3, 400, 32)
+        result = knn_join(points[:60], points[60:], 6, method=method, seed=1)
+        stats = result.stats
+        assert stats.extra["dense_rows"] == 60
+        assert stats.level2_distance_computations == \
+            stats.level1_survivor_pairs == stats.examined_points
+        assert stats.predicate_accepted_pairs == 60 * 6
+        assert check_funnel(funnel_from_stats(stats)) == []
+
+    @pytest.mark.usefixtures("force_dense")
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_batched_pooled_and_mmap_runs_equal_serial(self, tmp_path,
+                                                       method):
+        points = weak_points(4, 600, 48)
+        queries, targets = points[:90], points[90:]
+        serial = knn_join(queries, targets, 8, method=method, seed=2)
+        assert serial.stats.extra["dense_rows"] == len(queries)
+        for options in ({"query_batch_size": 13},
+                        {"workers": 2, "pool": "process"},
+                        {"workers": 2, "pool": "thread"}):
+            run = knn_join(queries, targets, 8, method=method, seed=2,
+                           **options)
+            _assert_same_answers(run, serial)
+            assert run.stats.extra["dense_rows"] == len(queries), options
+        path = str(tmp_path / "idx")
+        Index(targets, seed=5).save(path)
+        fresh = SweetKNN.from_index(Index(targets, seed=5), method=method)
+        loaded = SweetKNN.from_index(Index.load(path, mmap=True),
+                                     method=method)
+        _assert_same_answers(loaded.query(queries, 8),
+                             fresh.query(queries, 8))
+        _assert_same_answers(fresh.query(queries, 8), serial)
+
+    @pytest.mark.usefixtures("force_dense")
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    def test_tombstoned_index_never_returns_removed_rows(self, monkeypatch,
+                                                         method):
+        points = weak_points(5, 500, 24)
+        queries, targets = points[:50], points[50:]
+        index = Index(targets, seed=0)
+        removed = np.random.default_rng(0).choice(len(targets), 40,
+                                                  replace=False)
+        # Queries on top of removed rows: their own row would win.
+        queries[:10] = targets[removed[:10]]
+        index.remove(removed)
+        assert index.n_tombstones == len(removed)
+        knn = SweetKNN.from_index(index, method=method)
+        result = knn.query(queries, 6)
+        assert result.stats.extra["dense_rows"] == len(queries)
+        assert not np.isin(result.indices, removed).any()
+        live = index.active_ids()
+        brute = knn_join(queries, targets[live], 6, method="brute")
+        assert np.array_equal(result.indices, live[brute.indices])
+        monkeypatch.setattr(engine, "DENSE_CROSSOVER", float("inf"))
+        ti = knn.query(queries, 6)
+        assert ti.stats.extra["dense_rows"] == 0
+        _assert_same_answers(result, ti)
+
+    @pytest.mark.parametrize("method", [m for m, _ in PAIRS])
+    @pytest.mark.parametrize("case", ["k-all", "d-1", "d-far-above-n",
+                                      "wide-magnitudes", "empty-clusters"])
+    def test_edge_shapes(self, monkeypatch, method, case):
+        rng = np.random.default_rng(8)
+        if case == "k-all":
+            targets = weak_points(6, 40, 16)
+            queries, k = rng.normal(size=(9, 16)), len(targets)
+        elif case == "d-1":
+            targets, queries, k = rng.normal(size=(300, 1)), \
+                rng.normal(size=(30, 1)), 5
+        elif case == "d-far-above-n":
+            targets, queries, k = rng.normal(size=(30, 1500)), \
+                rng.normal(size=(8, 1500)), 4
+        elif case == "wide-magnitudes":
+            # Bands of points at scales 1e-150 .. 1e150, each band a
+            # cloud off the origin, so no two distances tie.
+            scale = 10.0 ** np.repeat([-150, -75, 0, 75, 150], 52)[:, None]
+            points = (rng.normal(size=(260, 5)) + 4.0) * scale
+            rng.shuffle(points)
+            targets, queries, k = points[:200], points[200:], 6
+        else:
+            targets = rounded_mixture(21, 400)
+            queries, k = rounded_mixture(22, 40), 4
+        ti, dense = _ti_and_dense(monkeypatch, queries, targets, k, method)
+        assert dense.stats.extra["dense_rows"] == len(queries)
+        brute = knn_join(queries, targets, k, method="brute")
+        assert np.array_equal(dense.indices, brute.indices)
+        if case == "empty-clusters":
+            # Integer distances: every form gives the same bits.
+            assert np.array_equal(dense.distances, brute.distances)
+        else:
+            assert np.array_equal(dense.distances, ti.distances)
+            assert np.array_equal(ti.indices, brute.indices)
+
+
+class TestDenseRouteNumpy(NumpyBackend, TestDenseRoute):
+    pass
+
+
+class TestDensePick:
+    """The C kernel replays :func:`scan_numpy.dense_pick` exactly."""
+
+    @pytest.mark.parametrize("data", ["weak", "rounded-ties"])
+    def test_c_pick_equals_numpy_pick(self, data):
+        kernel = cscan.load()
+        if kernel is None:
+            pytest.skip("no C kernel on this host")
+        if data == "weak":
+            points = weak_points(9, 600, 16)
+            queries, targets = points[:100], points[100:]
+        else:
+            targets = rounded_mixture(21, 400)
+            queries = rounded_mixture(22, 60)
+        plan = prepare_clusters(queries, targets, np.random.default_rng(1))
+        ct, cq = plan.target_clusters, plan.query_clusters
+        flat = flat_targets(ct)
+        live = flat.member_idx.size
+        picked = set()
+        for k in (1, 5, 40):
+            state = plan.level1_for(TopKPredicate(k))
+            for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+                dense_min = int(np.ceil(share * live))
+                backend = cscan.BoundScan(kernel, flat, dense_min)
+                for qc in range(cq.n_clusters):
+                    members = cq.members[qc]
+                    if not members.size:
+                        continue
+                    cand = state.candidates[qc]
+                    rows = center_distance_rows(queries[members], ct, cand)
+                    expected = scan_numpy.dense_pick(flat, rows, cand, k,
+                                                     dense_min)
+                    _, _, dense = backend.scan(True, queries[members], rows,
+                                               cand, state.bounds[qc], k)
+                    assert dense == np.flatnonzero(expected).tolist()
+                    picked.update(expected.tolist())
+        assert picked == {True, False}
