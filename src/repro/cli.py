@@ -136,6 +136,7 @@ from .datasets.synthetic import gaussian_mixture
 from .engine import engine_names, get_engine
 from .engine.planner import plan as plan_join
 from .gpu.device import tesla_k20c
+from .serve.server import ServeConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -235,7 +236,7 @@ def build_parser():
         "serve-bench",
         help="open-loop load generation against the KNN server")
     _data_args(serve)
-    _method_arg(serve)
+    _method_arg(serve, default=ServeConfig.method)
     _recall_arg(serve)
     serve.add_argument("--recall-every", type=int, default=2,
                        help="with --recall-target, every Nth request "
@@ -248,8 +249,11 @@ def build_parser():
                             "maximum offered load)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch coalescing cap in query rows")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="longest a request waits for co-batching")
+    serve.add_argument("--max-wait-ms", type=float,
+                       default=ServeConfig.max_wait_s * 1e3,
+                       help="longest a request waits for co-batching "
+                            "(default: %(default)g, flush when the "
+                            "server is free)")
     serve.add_argument("--queue-depth", type=int, default=256,
                        help="admission-control queue bound")
     serve.add_argument("--deadline-ms", type=float, default=None,
@@ -371,8 +375,8 @@ def build_parser():
     return parser
 
 
-def _method_arg(parser):
-    parser.add_argument("--method", default="sweet",
+def _method_arg(parser, default="sweet"):
+    parser.add_argument("--method", default=default,
                         choices=["auto"] + list(engine_names()),
                         help="a registered engine, or 'auto' for the "
                              "Fig. 8 rule: ti-flat when k/d <= 8, "

@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import nearest_columns, pairwise_distances
+from .memo import IdentityMemo
 
 __all__ = ["ClusteredSet", "cluster_points", "center_distances"]
+
+_sizes_memo = IdentityMemo()     # ClusteredSet -> member counts
 
 
 @dataclass
@@ -80,7 +83,15 @@ class ClusteredSet:
         return self.points.shape[1]
 
     def cluster_sizes(self):
-        return np.asarray([len(m) for m in self.members], dtype=np.int64)
+        """Read-only (m,) member counts, computed once per object
+        (:class:`~repro.core.memo.IdentityMemo`)."""
+        return _sizes_memo.get(self, self._count_members)
+
+    def _count_members(self):
+        sizes = np.fromiter((len(m) for m in self.members), dtype=np.int64,
+                            count=len(self.members))
+        sizes.setflags(write=False)
+        return sizes
 
     def check_invariants(self):
         """Validate membership, radii and (if sorted) ordering."""
@@ -120,10 +131,17 @@ def cluster_points(points, center_indices, sort_descending=False):
     n = points.shape[0]
     m = centers.shape[0]
 
-    # The (distance, index) order is argmin's first-minimum rule.
-    dist_to_center, assignment = nearest_columns(points, centers, 1)
-    dist_to_center = dist_to_center[:, 0]
-    assignment = assignment[:, 0]
+    if n == 1 and m == 1:
+        # A lone point is its own landmark (a one-row serving batch):
+        # the direct form nearest_columns runs for k = |B|, without its
+        # selection machinery.
+        dist_to_center = pairwise_distances(points, centers)[:, 0]
+        assignment = np.zeros(1, dtype=np.int64)
+    else:
+        # The (distance, index) order is argmin's first-minimum rule.
+        dist_to_center, assignment = nearest_columns(points, centers, 1)
+        dist_to_center = dist_to_center[:, 0]
+        assignment = assignment[:, 0]
 
     members = []
     member_dists = []

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..kselect import select_k_from_pairs
 from .bounds import euclidean
+from .memo import IdentityMemo
 from .predicates import CollectAccumulator, TopKAccumulator
 
 __all__ = [
@@ -61,6 +62,8 @@ BOUND_COMPARISON_RTOL = 1e-12
 #: pooling intermediate in :func:`cluster_upper_bounds`.
 _POOL_CHUNK_ELEMS = 4_000_000
 
+_tails_memo = IdentityMemo()     # ClusteredSet -> {k: tail-bound matrix}
+
 
 def bound_comparison_tol(q2tc, ub):
     """Absolute comparison slack for one cluster's member scan.
@@ -77,29 +80,34 @@ def bound_comparison_tol(q2tc, ub):
 def tail_bound_matrix(target_clusters, k):
     """Per target cluster, the k smallest member-to-centre distances.
 
-    Returns a (|CT|, k) matrix padded with ``inf`` for clusters smaller
-    than k.  Because target members are stored in *descending* order,
-    the k smallest distances are the reversed tail — these are the
-    ``u, v, w`` points of the paper's Fig. 5.
+    Returns a read-only (|CT|, k) matrix padded with ``inf`` for
+    clusters smaller than k.  Because target members are stored in
+    *descending* order, the k smallest distances are the reversed
+    tail — these are the ``u, v, w`` points of the paper's Fig. 5.
+    Pure target-side state, so it is computed once per clustered set
+    and ``k`` (:class:`~repro.core.memo.IdentityMemo`).
     """
-    ct = target_clusters
     k = int(k)
+    return _tails_memo.get(target_clusters,
+                           lambda: _tail_bounds(target_clusters, k), key=k)
+
+
+def _tail_bounds(ct, k):
     tails = np.full((ct.n_clusters, k), np.inf, dtype=np.float64)
-    sizes = np.array([dists.size for dists in ct.member_dists],
-                     dtype=np.int64)
+    sizes = ct.cluster_sizes()
     total = int(sizes.sum())
-    if total == 0:
-        return tails
-    # One gather instead of a per-cluster Python loop: cluster ``cid``'s
-    # j-th smallest distance is ``dists[size - 1 - j]`` (members are
-    # stored descending), i.e. position ``end[cid] - 1 - j`` of the
-    # concatenated distance array.
-    flat = np.concatenate(ct.member_dists)
-    ends = np.cumsum(sizes)
-    cols = np.arange(k)
-    valid = cols[None, :] < np.minimum(sizes, k)[:, None]
-    source = ends[:, None] - 1 - cols[None, :]
-    tails[valid] = flat[source[valid]]
+    if total:
+        # One gather instead of a per-cluster Python loop: cluster
+        # ``cid``'s j-th smallest distance is ``dists[size - 1 - j]``
+        # (members are stored descending), i.e. position
+        # ``end[cid] - 1 - j`` of the concatenated distance array.
+        flat = np.concatenate(ct.member_dists)
+        ends = np.cumsum(sizes)
+        cols = np.arange(k)
+        valid = cols[None, :] < np.minimum(sizes, k)[:, None]
+        source = ends[:, None] - 1 - cols[None, :]
+        tails[valid] = flat[source[valid]]
+    tails.setflags(write=False)
     return tails
 
 
@@ -165,7 +173,7 @@ def level1_filter(query_clusters, target_clusters, center_dists, ubs):
     """
     radius_q = np.asarray(query_clusters.radius, dtype=np.float64)
     radius_t = np.asarray(target_clusters.radius, dtype=np.float64)
-    sizes = np.asarray(target_clusters.cluster_sizes())
+    sizes = target_clusters.cluster_sizes()
     center_dists = np.asarray(center_dists, dtype=np.float64)
     # All |CQ| x |CT| pairs at once: the per-cluster Python loop this
     # replaces computed the same lower bounds row by row.  Dropped pairs

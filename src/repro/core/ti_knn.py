@@ -306,7 +306,7 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
         candidate_cluster_pairs=(
             state.candidate_pairs() if account_prepare else 0),
     )
-    target_sizes = np.asarray(ct.cluster_sizes(), dtype=np.int64)
+    target_sizes = ct.cluster_sizes()
 
     def work():
         for qc in range(cq.n_clusters):

@@ -35,6 +35,7 @@ import threading
 import numpy as np
 
 from ..core.filters import BOUND_COMPARISON_RTOL, ScanTrace
+from ..core.memo import IdentityMemo
 
 __all__ = ["CKernel", "BoundScan", "NEVER_DENSE", "load", "clear",
            "fallback_reason"]
@@ -81,6 +82,22 @@ def _ptr(array):
     return array.ctypes.data
 
 
+_layouts = IdentityMemo()        # FlatTargets -> its pointer layout
+
+
+def _pointer_layout(flat):
+    """``(points, d, member_idx, member_dists, offsets)`` as the
+    kernel's layout arguments, after checking the arrays are
+    canonical."""
+    arrays = ((flat.points, np.float64), (flat.member_idx, np.int64),
+              (flat.member_dists, np.float64), (flat.offsets, np.int64))
+    if any(a.dtype != dtype or not a.flags.c_contiguous
+           for a, dtype in arrays):
+        raise ValueError("flat layout arrays must be canonical")
+    return (_ptr(flat.points), flat.points.shape[1], _ptr(flat.member_idx),
+            _ptr(flat.member_dists), _ptr(flat.offsets))
+
+
 class CKernel:
     """The library's ``scan`` function plus the probed ``ddot`` address."""
 
@@ -97,24 +114,19 @@ class BoundScan:
     Holds the layout's pointers and its own ``diff`` scratch, so the
     thread-pool shards that scan concurrently (ctypes releases the GIL)
     never share a buffer.  Built per :meth:`FlatScan.scan` call and
-    never pickled.  ``dense_min`` is the dense route's pick threshold
-    (:func:`repro.native.scan_numpy.dense_pick`); the default never
-    picks it.
+    never pickled; the checked pointer layout of a :class:`FlatTargets`
+    is computed once per layout object.  ``dense_min`` is the dense
+    route's pick threshold (:func:`repro.native.scan_numpy.dense_pick`);
+    the default never picks it.
     """
 
     def __init__(self, kernel, flat, dense_min=NEVER_DENSE):
-        arrays = ((flat.points, np.float64), (flat.member_idx, np.int64),
-                  (flat.member_dists, np.float64), (flat.offsets, np.int64))
-        if any(a.dtype != dtype or not a.flags.c_contiguous
-               for a, dtype in arrays):
-            raise ValueError("flat layout arrays must be canonical")
         self.flat = flat
         self.fn = kernel.fn
         self.dense_min = int(dense_min)
         self.diff = np.empty(flat.points.shape[1])
-        self.layout = (kernel.ddot, _ptr(flat.points), flat.points.shape[1],
-                       _ptr(flat.member_idx), _ptr(flat.member_dists),
-                       _ptr(flat.offsets))
+        self.layout = (kernel.ddot,
+                       *_layouts.get(flat, lambda: _pointer_layout(flat)))
 
     def scan(self, full, points, rows, cand, ub, k):
         """``(values, traces, dense)`` for the queries of one query

@@ -13,28 +13,26 @@ more per-row arrays: the squared norms of its GEMM and each row's
 cluster, which masks removed rows and pruned clusters.
 
 Packing is O(n·d) and allocates ~28 bytes per target point, so it is
-memoized per :class:`ClusteredSet` *object* (validated by a weak
-reference, the idiom of :mod:`repro.index.fingerprint`): a prepared
-plan queried many times — or sliced into query batches/shards — packs
-once per process.  The memo treats the clustered set as immutable,
-the contract every prepared plan already imposes;
-:meth:`repro.index.Index.add` / :meth:`~repro.index.Index.remove`
-keep it by installing a new clustered set per version, so an updated
-index packs once per version.
+memoized per :class:`ClusteredSet` *object*
+(:class:`~repro.core.memo.IdentityMemo`): a prepared plan queried many
+times — or sliced into query batches/shards — packs once per process.
+The memo treats the clustered set as immutable, the contract every
+prepared plan already imposes; :meth:`repro.index.Index.add` /
+:meth:`~repro.index.Index.remove` keep it by installing a new clustered
+set per version, so an updated index packs once per version.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.memo import IdentityMemo
+
 __all__ = ["FlatTargets", "flat_targets", "cached_layouts", "clear_memo"]
 
-_memo = {}            # id(ClusteredSet) -> (weakref, FlatTargets)
-_memo_lock = threading.Lock()
+_memo = IdentityMemo()       # ClusteredSet -> FlatTargets
 
 
 @dataclass(frozen=True)
@@ -118,29 +116,14 @@ def flat_targets(clustered):
     is dropped when the clustered set is garbage collected, so a
     recycled ``id`` can never alias a stale layout.
     """
-    key = id(clustered)
-    with _memo_lock:
-        entry = _memo.get(key)
-        if entry is not None and entry[0]() is clustered:
-            return entry[1]
-    flat = _pack(clustered)
-    try:
-        ref = weakref.ref(clustered,
-                          lambda _ref, _key=key: _memo.pop(_key, None))
-    except TypeError:
-        return flat
-    with _memo_lock:
-        _memo[key] = (ref, flat)
-    return flat
+    return _memo.get(clustered, lambda: _pack(clustered))
 
 
 def cached_layouts():
     """Number of live memo entries (tests, debugging)."""
-    with _memo_lock:
-        return len(_memo)
+    return len(_memo)
 
 
 def clear_memo():
     """Drop every memoized layout (tests)."""
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()

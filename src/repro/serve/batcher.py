@@ -14,7 +14,11 @@ Scheduling policy (the classic micro-batching triangle):
   ``max_batch`` (the planner's rows-per-batch tile, or the configured
   cap, whichever is smaller);
 * **flush on deadline** — no request waits in the queue longer than
-  ``max_wait_s``, bounding the latency cost of coalescing;
+  ``max_wait_s``, bounding the latency cost of coalescing.  The
+  default is 0: an idle scheduler flushes a new request at once, and
+  since the scheduler thread runs each flush synchronously, requests
+  that arrive during a flush coalesce into the next one — batching
+  under load without a timer;
 * **admission control** — the queue is bounded; a full queue rejects
   new work with a typed :class:`~repro.errors.Overloaded` instead of
   queueing unbounded backlog.
@@ -115,12 +119,13 @@ class MicroBatcher:
         signal).  The callable must complete every request's future;
         any exception it raises is recorded on the batch's futures.
     max_wait_s:
-        Upper bound on queue residence before a partial batch flushes.
+        Upper bound on queue residence before a partial batch flushes;
+        0 flushes whatever is queued as soon as the scheduler is free.
     max_queue_depth:
         Admission-control bound on pending requests.
     """
 
-    def __init__(self, flush, max_wait_s=0.005, max_queue_depth=256,
+    def __init__(self, flush, max_wait_s=0.0, max_queue_depth=256,
                  on_expired=None):
         if max_queue_depth <= 0:
             raise ServeError("max_queue_depth must be positive")

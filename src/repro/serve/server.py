@@ -10,7 +10,9 @@ PR-1 execution-engine layer:
 * the :class:`~repro.serve.batcher.MicroBatcher` coalesces concurrent
   small requests into planner-sized tiles, bounds the queue
   (:class:`~repro.errors.Overloaded`) and drops expired work
-  (:class:`~repro.errors.DeadlineExceeded`);
+  (:class:`~repro.errors.DeadlineExceeded`).  With the default
+  ``max_wait_s=0`` an idle server executes a request at once; the
+  requests that queue up while a tile executes form the next tile;
 * one ``engine.execute()`` call answers each tile, its rows split back
   per request — so every served answer is exactly what a direct
   :func:`repro.knn_join` call returns;
@@ -83,7 +85,9 @@ class ServeConfig:
         never exceeds what the device budget admits in one call.
     max_wait_s:
         Longest a request may wait for co-batching before a partial
-        tile flushes.
+        tile flushes.  The default 0 never holds a request back: an
+        idle server runs it at once, and requests that arrive while a
+        tile executes coalesce into the next tile.
     max_queue_depth:
         Admission-control bound on queued requests.
     default_deadline_s:
@@ -140,7 +144,7 @@ class ServeConfig:
     degraded_method: str = "brute"
     degrade_at: float = 0.75
     max_batch_size: int = 64
-    max_wait_s: float = 0.002
+    max_wait_s: float = 0.0
     max_queue_depth: int = 256
     default_deadline_s: float = None
     seed: int = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.bounds import nearest_columns
 from repro.core.clustering import center_distances, cluster_points
 from repro.core.landmarks import select_landmarks_random_spread
 
@@ -64,6 +65,24 @@ class TestClusterPoints:
         points = rng.normal(size=(300, 700))  # chunk ~ 2**26/(m*d)
         cs = _cluster(points, 30)
         assert cs.check_invariants()
+
+    @pytest.mark.parametrize("dim", [1, 29, 512])
+    @pytest.mark.parametrize("sort_descending", [False, True])
+    def test_lone_point_matches_the_nearest_columns_path(
+            self, rng, dim, sort_descending):
+        """A one-point set skips the selection; its distance is still
+        the one nearest_columns returns, bit for bit."""
+        for scale in (1e-150, 1.0, 1e150):
+            point = rng.normal(size=(1, dim)) * scale
+            cs = cluster_points(point, np.arange(1),
+                                sort_descending=sort_descending)
+            dist, idx = nearest_columns(point, point, 1)
+            assert cs.dist_to_center.tobytes() == dist[:, 0].tobytes()
+            assert np.array_equal(cs.assignment, idx[:, 0])
+            assert [m.tolist() for m in cs.members] == [[0]]
+            assert cs.member_dists[0].tobytes() == dist[0].tobytes()
+            assert cs.radius.tobytes() == dist[0].tobytes()
+            assert cs.check_invariants()
 
     @given(hnp.arrays(np.float64, (30, 3),
                       elements=st.floats(-100, 100, allow_nan=False)),

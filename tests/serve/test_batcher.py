@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceeded, Overloaded, ServeError
-from repro.serve import MicroBatcher, PendingRequest
+from repro.serve import MicroBatcher, PendingRequest, ServeConfig
 
 
 class RecordingFlush:
@@ -103,6 +103,54 @@ class TestCoalescing:
             assert future.result(timeout=5) == "big"
         finally:
             batcher.stop()
+
+
+class TestFlushWhenFree:
+    """The default wait is 0: an idle batcher flushes a request at once,
+    and the requests that queue during a flush form the next batch."""
+
+    def test_default_wait_is_zero(self):
+        assert MicroBatcher(RecordingFlush()).max_wait_s == 0.0
+        assert ServeConfig().max_wait_s == 0.0
+
+    def test_solo_request_on_idle_batcher_flushes_alone(self):
+        flush = RecordingFlush()
+        batcher = MicroBatcher(flush)
+        batcher.start()
+        try:
+            future = batcher.submit(_request(payload="solo"))
+            assert future.result(timeout=30) == "solo"
+        finally:
+            batcher.stop()
+        assert [[r.payload for r in batch]
+                for batch in flush.batches] == [["solo"]]
+
+    def test_requests_queued_during_a_flush_form_the_next_batch(self):
+        entered = threading.Event()
+        release = threading.Event()
+        batches = []
+
+        def blocking(requests, pressure):
+            batches.append([r.payload for r in requests])
+            if len(batches) == 1:
+                entered.set()
+                release.wait(30)
+            for request in requests:
+                request.future.set_result(request.payload)
+
+        batcher = MicroBatcher(blocking)
+        batcher.start()
+        try:
+            futures = [batcher.submit(_request(payload=0))]
+            assert entered.wait(30)
+            futures += [batcher.submit(_request(payload=i))
+                        for i in range(1, 5)]
+            release.set()
+            assert [f.result(timeout=30) for f in futures] == list(range(5))
+        finally:
+            release.set()
+            batcher.stop()
+        assert batches == [[0], [1, 2, 3, 4]]
 
 
 class TestAdmissionControl:
