@@ -111,11 +111,11 @@ def measure(kernel, dim, separation):
             all_rows[members] = rows
             for i, q in enumerate(members):
                 one = (batch[q:q + 1], rows[i:i + 1])
-                scan = best_time(lambda: ti.scan(True, *one, cand, ub, K))
-                call = best_time(lambda: ti.scan(True, *one, cand[:0], ub, K))
+                scan = best_time(lambda: ti.scan(*one, cand, ub, K))
+                call = best_time(lambda: ti.scan(*one, cand[:0], ub, K))
                 per_query.append((estimate(flat, rows[i], cand), scan - call))
-        row_s = best_time(lambda: dense.scan(True, batch, all_rows, None,
-                                             np.inf, K)) / len(batch)
+        row_s = best_time(lambda: dense.scan(batch, all_rows, None, np.inf,
+                                             K)) / len(batch)
         out.extend((est, scan, row_s) for est, scan in per_query)
     return np.array(out)
 

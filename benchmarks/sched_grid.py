@@ -26,7 +26,7 @@ import numpy as np
 from repro import knn_join, sched
 from repro.datasets import synthetic
 
-ENGINES = ("ti-flat", "sweet-flat", "kdtree", "brute")
+ENGINES = ("ti-flat", "kdtree", "brute")
 SEED = 7
 RUNS = 2
 OUT = Path(__file__).parent / "results" / "sched_grid.txt"

@@ -2,19 +2,18 @@
 
 Not a paper figure: the paper's level-2 scan runs as CUDA kernels,
 while ``repro.native`` runs the same Algorithm 2 loop on the host over
-a flat CSR layout (``ti-flat`` / ``sweet-flat``): a C kernel built on
-first use with the system ``cc``, or a vectorized numpy scan where it
-cannot be built.  The payload's ``kernel_tier`` records which.  The tier is exact *and* funnel-exact: results and
-work counters are bit-identical to the sequential reference engine.
+a flat CSR layout (``ti-flat``): a C kernel built on first use with
+the system ``cc``, or a vectorized numpy scan where it cannot be
+built.  The payload's ``kernel_tier`` records which.  The tier is
+exact *and* funnel-exact: results and work counters are bit-identical
+to the sequential reference engine.
 
 This bench records, on the Fig. 9 medium shape (kegg, |Q| = |T| =
 4096, k = 20):
 
 * the flat tier's query-phase speedup over ``ti-cpu`` (asserted
   >= 2x — the tier must pay for itself);
-* the bit-identity checks for both filter strengths (the ``sweet-*``
-  engines implement the paper's partial filter; their reference is
-  ``ti-cpu`` with ``filter_strength="partial"``).
+* the bit-identity check against ``ti-cpu``'s full filter.
 """
 
 import numpy as np
@@ -42,32 +41,20 @@ def _assert_identical(reference, contender):
 
 @pytest.mark.paper_experiment("native_kernels")
 def test_native_kernels():
-    full_ref = run_method(DATASET, BASELINE, K)
-    partial_ref = run_method(DATASET, BASELINE, K,
-                             filter_strength="partial")
-    references = {"full": full_ref, "partial": partial_ref}
-    contenders = [("ti-flat", "full"), ("sweet-flat", "partial")]
+    reference = run_method(DATASET, BASELINE, K)
+    record = run_method(DATASET, "ti-flat", K)
+    _assert_identical(reference, record)
+    speedup = reference.query_time_s / record.query_time_s
 
-    rows = [[BASELINE + " (full)", "reference",
-             full_ref.query_time_s * 1e3, 1.0],
-            [BASELINE + " (partial)", "reference",
-             partial_ref.query_time_s * 1e3, 1.0]]
-    runs = [full_ref.payload(), partial_ref.payload()]
-    speedups = {}
-    for method, strength in contenders:
-        reference = references[strength]
-        record = run_method(DATASET, method, K)
-        _assert_identical(reference, record)
-        speedup = reference.query_time_s / record.query_time_s
-        speedups[method] = speedup
-        rows.append([method, record.kernel_tier,
-                     record.query_time_s * 1e3, speedup])
-        payload = record.payload()
-        payload["query_speedup"] = round(speedup, 4)
-        runs.append(payload)
+    rows = [[BASELINE, "reference", reference.query_time_s * 1e3, 1.0],
+            ["ti-flat", record.kernel_tier, record.query_time_s * 1e3,
+             speedup]]
+    payload = record.payload()
+    payload["query_speedup"] = round(speedup, 4)
+    runs = [reference.payload(), payload]
 
     notes = ["results and funnel counters verified bit-identical to "
-             "the %s reference per filter strength" % BASELINE,
+             "the %s reference" % BASELINE,
              "speedups are query-phase wall clock"]
     emit("native_kernels", format_table(
         "Flat kernel tier — %s, k=%d" % (DATASET, K),
@@ -76,6 +63,6 @@ def test_native_kernels():
     emit_json("native_kernels", {
         "dataset": DATASET, "baseline": BASELINE, "k": K, "runs": runs})
 
-    assert speedups["ti-flat"] >= MIN_FLAT_SPEEDUP, (
+    assert speedup >= MIN_FLAT_SPEEDUP, (
         "expected >= %.1fx query-phase speedup from the flat tier, "
-        "got %.2fx" % (MIN_FLAT_SPEEDUP, speedups["ti-flat"]))
+        "got %.2fx" % (MIN_FLAT_SPEEDUP, speedup))

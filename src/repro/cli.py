@@ -379,8 +379,7 @@ def _method_arg(parser, default="sweet"):
     parser.add_argument("--method", default=default,
                         choices=["auto"] + list(engine_names()),
                         help="a registered engine, or 'auto' for the "
-                             "Fig. 8 rule: ti-flat when k/d <= 8, "
-                             "sweet-flat otherwise")
+                             "host flat tier (ti-flat) at every shape")
 
 
 def _resolve_auto(args, out):

@@ -37,9 +37,9 @@ def filter_strength_for(k, dim):
     """Fig. 8's top branch: the filter strength for a ``(k, d)`` pair.
 
     "the scenarios for the partial filtering to outperform the full
-    filtering is when k/d > 8" — partial on strictly greater.  This is
-    also the rule ``method="auto"`` follows (:func:`repro.sched.decide`):
-    ``"full"`` picks ``ti-flat``, ``"partial"`` picks ``sweet-flat``.
+    filtering is when k/d > 8" — partial on strictly greater.  The
+    simulated ``sweet`` engine follows it; the host flat tier runs the
+    full filter at every shape (docs/SCHEDULER.md).
     """
     if int(k) / float(int(dim)) <= FILTER_STRENGTH_RATIO:
         return "full"

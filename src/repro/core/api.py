@@ -80,9 +80,8 @@ def knn_join(queries, targets, k, method="sweet", seed=0, device=None,
         Neighbours per query.
     method:
         A registered engine name (default the paper's Sweet KNN); see
-        :data:`repro.METHODS`.  ``"auto"`` applies the paper's Fig. 8
-        rule on the host flat tier (:func:`repro.sched.decide`):
-        ``"ti-flat"`` when ``k/d <= 8``, ``"sweet-flat"`` otherwise.
+        :data:`repro.METHODS`.  ``"auto"`` picks the host flat tier,
+        ``"ti-flat"``, at every shape (:func:`repro.sched.decide`).
     seed:
         Seed for landmark selection (ignored by engines that do not
         declare ``uses_seed``).
@@ -142,7 +141,7 @@ class SweetKNN:
     shared :class:`~repro.core.ti_knn.JoinPlan`.
 
     ``method`` may name any prepared-index engine (``"sweet"``,
-    ``"ti-gpu"``, ``"ti-cpu"``, ``"ti-flat"``, ``"sweet-flat"``).
+    ``"ti-gpu"``, ``"ti-cpu"``, ``"ti-flat"``).
 
     Example
     -------

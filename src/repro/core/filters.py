@@ -34,7 +34,8 @@ early in the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from .predicates import CollectAccumulator, TopKAccumulator
 __all__ = [
     "cluster_upper_bounds", "level1_filter", "point_scan",
     "point_filter_full", "point_filter_partial", "ScanTrace",
-    "tail_bound_matrix", "bound_comparison_tol", "center_distance_rows",
+    "SCAN_COUNTERS", "trace_counters", "tail_bound_matrix",
+    "bound_comparison_tol", "center_distance_rows",
 ]
 
 #: Relative slack for the level-2 bound comparisons.  ``theta`` descends
@@ -217,6 +219,20 @@ class ScanTrace:
         self.breaks += other.breaks
         self.steps += other.steps
         return self
+
+
+#: :class:`ScanTrace`'s fields in the column order of a level-2 counter
+#: block: one int64 ``(queries, 7)`` array per scan call
+#: (:class:`repro.core.ti_knn.Level2`).
+SCAN_COUNTERS = tuple(f.name for f in fields(ScanTrace))
+
+_trace_row = attrgetter(*SCAN_COUNTERS)
+
+
+def trace_counters(traces):
+    """The counter block of per-query :class:`ScanTrace` objects."""
+    return np.array([_trace_row(trace) for trace in traces],
+                    dtype=np.int64).reshape(-1, len(SCAN_COUNTERS))
 
 
 def point_scan(query_point, query_index, target_clusters, candidate_ids,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
-from .filters import point_scan
+from .filters import point_scan, trace_counters
 from .predicates import EpsilonRangePredicate, ReverseKNNPredicate
 from .result import RangeResult
 from .ti_knn import Level2, ti_knn_join
@@ -98,10 +98,11 @@ class PredicateScan(Level2):
     """Level 2 of the predicate joins: :func:`point_scan` per query
     against the predicate's accumulator, packed into a RangeResult.
 
-    ``JoinStats.k`` is the predicate's ``k`` (0 for ε-range).
-    ``self_join`` wraps each accumulator in :class:`_SelfJoinFilter`
-    and, once every query is scanned, mirrors each accepted pair into
-    its active partner's row.
+    Its one result column holds each row's accepted ``(d, t)`` pairs
+    (an object array of lists).  ``JoinStats.k`` is the predicate's
+    ``k`` (0 for ε-range).  ``self_join`` wraps each accumulator in
+    :class:`_SelfJoinFilter` and, once every query is scanned, mirrors
+    each accepted pair into its active partner's row.
     """
 
     def __init__(self, predicate, method, self_join=False):
@@ -110,15 +111,25 @@ class PredicateScan(Level2):
         self.k = getattr(predicate, "k", 0)
         self.self_join = self_join
 
-    def scan_query(self, join, q, qc, row, cand, ub):
-        acc = self.predicate.accumulator(join.state, qc)
-        if self.self_join:
-            acc = _SelfJoinFilter(acc, q, join.active_mask)
-        trace = point_scan(join.queries[q], q, join.plan.target_clusters,
-                           cand, acc, center_dists_row=row)
-        return acc.pairs, trace
+    def columns(self, n):
+        return (np.empty(n, dtype=object),)
 
-    def pack(self, join, values):
+    def scan(self, join, work):
+        ct = join.plan.target_clusters
+        for qc, scanned, rows, cand, ub in work:
+            (pairs,) = self.columns(scanned.size)
+            traces = []
+            for i, q in enumerate(scanned):
+                acc = self.predicate.accumulator(join.state, qc)
+                if self.self_join:
+                    acc = _SelfJoinFilter(acc, q, join.active_mask)
+                traces.append(point_scan(join.queries[q], q, ct, cand, acc,
+                                         center_dists_row=rows[i]))
+                pairs[i] = acc.pairs
+            yield join.local_row[scanned], (pairs,), trace_counters(traces)
+
+    def pack(self, join, columns):
+        (values,) = columns
         stats = join.stats
         stats.extra["predicate"] = self.predicate.name
         prep = join.state.prep_trace

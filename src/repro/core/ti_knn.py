@@ -23,8 +23,9 @@ import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
 from .clustering import center_distances, cluster_points
-from .filters import (center_distance_rows, point_filter_full,
-                      point_filter_partial)
+from .filters import (SCAN_COUNTERS, center_distance_rows,
+                      point_filter_full, point_filter_partial,
+                      trace_counters)
 from .landmarks import determine_landmark_count, select_landmarks_random_spread
 from .predicates import TopKPredicate
 from .result import JoinStats, KNNResult
@@ -37,15 +38,14 @@ __all__ = ["JoinPlan", "prepare_clusters", "ti_knn_join", "TIJoin", "Level2",
 class JoinPlan:
     """Step-1 + Step-2 state shared by every level-2 variant.
 
-    Holds the clustered query/target sets, the centre-distance matrix,
-    the per-query-cluster upper bounds and the level-1 candidate lists.
+    Holds the clustered query/target sets and the centre-distance
+    matrix; the level-1 bounds and candidate lists of each predicate
+    are computed once and cached (:meth:`level1_for`).
     """
 
     query_clusters: object
     target_clusters: object
     center_dists: np.ndarray
-    ubs: np.ndarray = None
-    candidates: list = None
     _level1_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -76,8 +76,7 @@ class JoinPlan:
 
         Thread-safe and non-mutating: shard workers sharing one plan
         (possibly with different predicates) each read a consistent
-        state instead of racing on the ``ubs``/``candidates``
-        attributes.  An index queried many times (or a batched join
+        state.  An index queried many times (or a batched join
         re-entering the pipeline per tile) pays the level-1 cost once
         per distinct ``predicate.cache_key()``.
         """
@@ -92,27 +91,11 @@ class JoinPlan:
         return cached
 
     def level1(self, k):
-        """The ``(ubs, candidates)`` pair for top-k, cached per ``k``.
-
-        The historical top-k entry point, now a view over
-        :meth:`level1_for` with a
-        :class:`~repro.core.predicates.TopKPredicate`.
-        """
+        """The ``(ubs, candidates)`` pair for top-k, cached per ``k``:
+        a view over :meth:`level1_for` with a
+        :class:`~repro.core.predicates.TopKPredicate`."""
         state = self.level1_for(TopKPredicate(k))
         return state.bounds, state.candidates
-
-    def run_level1(self, k):
-        """Compute and store the bounds and candidate lists for ``k``.
-
-        Mutating convenience wrapper around :meth:`level1` (the stored
-        ``ubs``/``candidates`` attributes are what single-threaded
-        callers and older tests read).
-        """
-        self.ubs, self.candidates = self.level1(k)
-        return self
-
-    def candidate_pairs(self):
-        return int(sum(c.size for c in self.candidates))
 
 
 def prepare_clusters(queries, targets, rng, mq=None, mt=None,
@@ -165,35 +148,38 @@ class Level2:
     The driver owns everything around level 2: validation, the Step-1
     plan, the level-1 state of :attr:`predicate`, the active subset,
     the per-query-cluster loop with its batched centre-distance rows,
-    and the counter accounting.  A stage supplies the per-query scan
-    (:meth:`scan_query`) and the result (:meth:`pack`); a kernel that
-    scans every query in one launch overrides :meth:`scan` instead.
-    A stage object serves one call.
+    and the counter accounting.  A stage scans in blocks
+    (:meth:`scan`), names its empty result (:meth:`columns`) and packs
+    the filled one (:meth:`pack`).  A stage object serves one call.
     """
 
     #: ``JoinStats.k`` (and the driver's ``k <= |T|`` check).
     k = 0
     predicate = None
 
+    def columns(self, n):
+        """The result columns of ``n`` rows before any block is
+        written."""
+        raise NotImplementedError
+
     def scan(self, join, work):
-        """Yield ``(q, value, trace)`` for every scanned query.
+        """Yield one ``(local, values, counters)`` block per scan call.
 
         ``work`` yields the driver's per-query-cluster items
         ``(qc, scanned, rows, cand, ub)``: the active members, their
-        centre-distance rows, the level-1 survivors and the bound.
+        centre-distance rows, the level-1 survivors and the bound.  In
+        a block, ``local`` are the result rows of its queries
+        (``join.local_row``), ``values`` holds one array per result
+        column (:meth:`columns`) with a row per query, and ``counters``
+        is an int64 ``(queries, 7)`` array whose columns are
+        :data:`~repro.core.filters.SCAN_COUNTERS`.  A later block may
+        overwrite an earlier one's rows if the earlier one counted
+        nothing for them.
         """
-        scan_query = self.scan_query
-        for qc, scanned, rows, cand, ub in work:
-            for local, q in enumerate(scanned):
-                value, trace = scan_query(join, q, qc, rows[local], cand, ub)
-                yield q, value, trace
-
-    def scan_query(self, join, q, qc, row, cand, ub):
-        """``(value, trace)`` of query ``q``'s level-2 scan."""
         raise NotImplementedError
 
-    def pack(self, join, values):
-        """The join result from the per-row values."""
+    def pack(self, join, columns):
+        """The join result from the filled result columns."""
         raise NotImplementedError
 
 
@@ -203,6 +189,8 @@ class TopKScan(Level2):
     ``filter_strength`` picks Algorithm 2's updating θ
     (:func:`~repro.core.filters.point_filter_full`) or Sweet KNN's
     partial filter (:func:`~repro.core.filters.point_filter_partial`).
+    Its result columns are ``dists`` and ``idx``, ``(n, k)`` arrays
+    padded with ``inf`` / -1.
     """
 
     label = "ti-knn-cpu"
@@ -215,19 +203,35 @@ class TopKScan(Level2):
         self.full = filter_strength == "full"
         self.method = "%s/%s" % (self.label, filter_strength)
 
-    def scan_query(self, join, q, qc, row, cand, ub):
-        query_point = join.queries[q]
-        ct = join.plan.target_clusters
-        if self.full:
-            heap, trace = point_filter_full(
-                query_point, q, ct, cand, ub, self.k, center_dists_row=row)
-            return heap.sorted_items(), trace
-        dists, idx, trace = point_filter_partial(
-            query_point, q, ct, cand, ub, self.k, center_dists_row=row)
-        return (dists, idx), trace
+    def columns(self, n):
+        return (np.full((n, self.k), np.inf),
+                np.full((n, self.k), -1, dtype=np.int64))
 
-    def pack(self, join, values):
-        distances, indices = KNNResult.pack(values, self.k)
+    def scan(self, join, work):
+        queries = join.queries
+        ct = join.plan.target_clusters
+        k = self.k
+        for qc, scanned, rows, cand, ub in work:
+            dists, idx = self.columns(scanned.size)
+            traces = []
+            for i, q in enumerate(scanned):
+                if self.full:
+                    heap, trace = point_filter_full(
+                        queries[q], q, ct, cand, ub, k,
+                        center_dists_row=rows[i])
+                    d, t = heap.sorted_items()
+                else:
+                    d, t, trace = point_filter_partial(
+                        queries[q], q, ct, cand, ub, k,
+                        center_dists_row=rows[i])
+                dists[i, :d.size] = d
+                idx[i, :t.size] = t
+                traces.append(trace)
+            yield join.local_row[scanned], (dists, idx), \
+                trace_counters(traces)
+
+    def pack(self, join, columns):
+        distances, indices = columns
         return KNNResult(distances=distances, indices=indices,
                          stats=join.stats, method=self.method)
 
@@ -330,16 +334,20 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
     join = TIJoin(queries=queries, plan=plan, state=state, active=active,
                   active_mask=active_mask, local_row=local_row, stats=stats,
                   account_prepare=account_prepare)
-    values = [None] * len(active)
-    for q, value, trace in level2.scan(join, work()):
-        values[local_row[q]] = value
-        stats.level2_distance_computations += trace.distance_computations
-        stats.center_distance_computations += (
-            trace.center_distance_computations)
-        stats.examined_points += trace.examined
-        stats.heap_updates += trace.heap_updates
-        stats.predicate_accepted_pairs += trace.accepted
-    return level2.pack(join, values)
+    columns = level2.columns(len(active))
+    totals = np.zeros(len(SCAN_COUNTERS), dtype=np.int64)
+    for local, values, counters in level2.scan(join, work()):
+        for column, value in zip(columns, values):
+            column[local] = value
+        totals += counters.sum(axis=0)
+    counts = dict(zip(SCAN_COUNTERS, totals.tolist()))
+    stats.level2_distance_computations += counts["distance_computations"]
+    stats.center_distance_computations += (
+        counts["center_distance_computations"])
+    stats.examined_points += counts["examined"]
+    stats.heap_updates += counts["heap_updates"]
+    stats.predicate_accepted_pairs += counts["accepted"]
+    return level2.pack(join, columns)
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,26 @@
 /* Level-2 member scan over the FlatTargets CSR layout.
  *
- * One call scans every active query of one query cluster: Algorithm 2
- * with the updating bound theta (full != 0), or Sweet KNN's partial
- * filter with theta fixed at the level-1 UB and a (distance, index)
- * k-select of the survivors (full == 0).  Decisions, results and
- * counters are those of repro.native.scan_numpy, bit for bit:
+ * One call scans every active query of one query cluster with
+ * Algorithm 2's updating bound theta.  Decisions, results and counters
+ * are those of repro.native.scan_numpy, bit for bit:
  *
  *   - a distance is sqrt(ddot(d, t - q, 1, t - q, 1)) through numpy's
  *     own BLAS ddot, passed in as a function pointer;
  *   - the bound arithmetic is the same IEEE expressions, compiled with
  *     -ffp-contract=off so theta + tol is never fused;
- *   - the full scan's heap replays KNearestHeap's sift move for move,
- *     so the output keeps its tie order.
+ *   - the heap replays KNearestHeap's sift move for move, so the
+ *     output keeps its tie order.
  *
- * Per query, out_d/out_i (k wide) hold the neighbours, ascending, and
- * counters (NCOUNT wide) hold steps, breaks, examined, accepted, n_out.
- * diff (d long) and td/ti (k long) are the caller's scratch.
+ * Per query, out_d/out_i (k wide) hold the neighbours, ascending and
+ * padded with INFINITY / -1, and counters (NCOUNT wide) hold the
+ * ScanTrace fields in repro.core.filters.SCAN_COUNTERS order.  diff
+ * (d long) and td/ti (k long) are the caller's scratch.
  *
  * A query whose candidate clusters hold at least dense_min members
  * within its own bound (dense_pick, repro.native.scan_numpy's rule
- * replayed) is not scanned: its n_out is -1 and the caller answers it
- * on the dense route.
+ * replayed) is not scanned: its dense flag is 1, its row stays padding
+ * and its counters 0, and the caller answers it on the dense route.
+ * scan returns the number of such queries.
  */
 #include <math.h>
 #include <string.h>
@@ -29,7 +29,8 @@ typedef long long i64;
 typedef double (*ddot_fn)(i64 n, const double *x, i64 incx,
                           const double *y, i64 incy);
 
-enum { STEPS, BREAKS, EXAMINED, ACCEPTED, N_OUT, NCOUNT };
+enum { EXAMINED, DISTANCES, CENTER_DISTANCES, HEAP_UPDATES, ACCEPTED,
+       BREAKS, STEPS, NCOUNT };
 
 static void swap(double *hd, i64 *hi, i64 a, i64 b)
 {
@@ -41,20 +42,14 @@ static void swap(double *hd, i64 *hi, i64 a, i64 b)
     hi[b] = ti;
 }
 
-/* Heap order: by distance (KNearestHeap, ties stay put) or, with
- * by_pair, by (distance, index) (select_k_flat's lexsort keys). */
-static int above(const double *hd, const i64 *hi, i64 a, i64 b, int by_pair)
-{
-    return hd[a] > hd[b] || (by_pair && hd[a] == hd[b] && hi[a] > hi[b]);
-}
-
-static void sift_down(double *hd, i64 *hi, i64 n, i64 pos, int by_pair)
+/* KNearestHeap._replace_root's sift: by distance, ties stay put. */
+static void sift_down(double *hd, i64 *hi, i64 n, i64 pos)
 {
     for (;;) {
         i64 left = 2 * pos + 1, right = left + 1, top = pos;
-        if (left < n && above(hd, hi, left, top, by_pair))
+        if (left < n && hd[left] > hd[top])
             top = left;
-        if (right < n && above(hd, hi, right, top, by_pair))
+        if (right < n && hd[right] > hd[top])
             top = right;
         if (top == pos)
             return;
@@ -65,8 +60,9 @@ static void sift_down(double *hd, i64 *hi, i64 n, i64 pos, int by_pair)
 
 /* KNearestHeap.sorted_items in place: drop the empty slots, then a
  * stable bottom-up merge sort by distance (heap-array order among
- * ties), through the k-long buffers td/ti. */
-static i64 sort_heap(double *hd, i64 *hi, i64 k, double *td, i64 *ti)
+ * ties), through the k-long buffers td/ti; the slots past the
+ * neighbours are padded. */
+static void sort_heap(double *hd, i64 *hi, i64 k, double *td, i64 *ti)
 {
     i64 n = 0;
     for (i64 j = 0; j < k; j++)
@@ -89,24 +85,9 @@ static i64 sort_heap(double *hd, i64 *hi, i64 k, double *td, i64 *ti)
         memcpy(hd, td, n * sizeof *hd);
         memcpy(hi, ti, n * sizeof *hi);
     }
-    return n;
-}
-
-/* Bounded max-heap of the k smallest (distance, index) pairs. */
-static void offer_pair(double *hd, i64 *hi, i64 k, i64 *n, double dist,
-                       i64 idx)
-{
-    if (*n < k) {
-        i64 pos = (*n)++;
-        hd[pos] = dist;
-        hi[pos] = idx;
-        for (; pos > 0 && above(hd, hi, pos, (pos - 1) / 2, 1);
-             pos = (pos - 1) / 2)
-            swap(hd, hi, pos, (pos - 1) / 2);
-    } else if (hd[0] > dist || (hd[0] == dist && hi[0] > idx)) {
-        hd[0] = dist;
-        hi[0] = idx;
-        sift_down(hd, hi, k, 0, 1);
+    for (i64 j = n; j < k; j++) {
+        hd[j] = INFINITY;
+        hi[j] = -1;
     }
 }
 
@@ -183,14 +164,15 @@ static int dense_pick(const double *row, const double *member_dists,
             >= dense_min;
 }
 
-void scan(int full, ddot_fn ddot, const double *points, i64 d,
-          const i64 *member_idx, const double *member_dists,
-          const i64 *offsets, const double *queries, const double *rows,
-          i64 nq, i64 row_stride, const i64 *cand, i64 n_cand, double ub,
-          i64 k, double rtol, i64 dense_min, double *diff, double *td,
-          i64 *ti, double *out_d, i64 *out_i, i64 *counters)
+i64 scan(ddot_fn ddot, const double *points, i64 d,
+         const i64 *member_idx, const double *member_dists,
+         const i64 *offsets, const double *queries, const double *rows,
+         i64 nq, i64 row_stride, const i64 *cand, i64 n_cand, double ub,
+         i64 k, double rtol, i64 dense_min, double *diff, double *td,
+         i64 *ti, double *out_d, i64 *out_i, i64 *counters,
+         unsigned char *dense)
 {
-    i64 cand_mass = 0;
+    i64 cand_mass = 0, n_dense = 0;
     for (i64 j = 0; j < n_cand; j++)
         cand_mass += cluster_size(offsets, cand[j]);
     for (i64 i = 0; i < nq; i++) {
@@ -201,13 +183,15 @@ void scan(int full, ddot_fn ddot, const double *points, i64 d,
             hd[j] = INFINITY;
             hi[j] = -1;
         }
-        c[STEPS] = c[BREAKS] = c[EXAMINED] = c[ACCEPTED] = 0;
-        if (cand_mass >= dense_min
-                && dense_pick(row, member_dists, offsets, cand, n_cand, k,
-                              dense_min)) {
-            c[N_OUT] = -1;
+        memset(c, 0, NCOUNT * sizeof *c);
+        dense[i] = cand_mass >= dense_min
+            && dense_pick(row, member_dists, offsets, cand, n_cand, k,
+                          dense_min);
+        if (dense[i]) {
+            n_dense++;
             continue;
         }
+        c[CENTER_DISTANCES] = n_cand;
         for (i64 j = 0; j < n_cand; j++) {
             i64 tc = cand[j];
             double q2c = row[tc];
@@ -228,17 +212,13 @@ void scan(int full, ddot_fn ddot, const double *points, i64 d,
                 for (i64 x = 0; x < d; x++)
                     diff[x] = tp[x] - q[x];
                 double dist = sqrt(ddot(d, diff, 1, diff, 1));
-                if (!full) {
-                    offer_pair(hd, hi, k, &n, dist, t);
-                    continue;
-                }
                 /* TopKAccumulator.offer: the limit changes only here. */
                 if (dist < hd[0]) {
                     if (hi[0] == -1)
                         n++;
                     hd[0] = dist;
                     hi[0] = t;
-                    sift_down(hd, hi, k, 0, 0);
+                    sift_down(hd, hi, k, 0);
                     c[ACCEPTED]++;
                     if (n >= k)
                         theta = hd[0] < ub ? hd[0] : ub;
@@ -246,15 +226,9 @@ void scan(int full, ddot_fn ddot, const double *points, i64 d,
                 }
             }
         }
-        if (full) {
-            c[N_OUT] = sort_heap(hd, hi, k, td, ti);
-            continue;
-        }
-        for (i64 m = n - 1; m > 0; m--) {   /* heap sort, ascending */
-            swap(hd, hi, 0, m);
-            sift_down(hd, hi, m, 0, 1);
-        }
-        c[ACCEPTED] = c[EXAMINED];
-        c[N_OUT] = n;
+        c[DISTANCES] = c[EXAMINED];
+        c[HEAP_UPDATES] = c[ACCEPTED];
+        sort_heap(hd, hi, k, td, ti);
     }
+    return n_dense;
 }

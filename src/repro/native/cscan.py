@@ -34,7 +34,7 @@ import threading
 
 import numpy as np
 
-from ..core.filters import BOUND_COMPARISON_RTOL, ScanTrace
+from ..core.filters import BOUND_COMPARISON_RTOL, SCAN_COUNTERS
 from ..core.memo import IdentityMemo
 
 __all__ = ["CKernel", "BoundScan", "NEVER_DENSE", "load", "clear",
@@ -56,10 +56,8 @@ _DDOT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
-_ARGTYPES = (ctypes.c_int, _P, _P, _I, _P, _P, _P, _P, _P, _I, _I, _P, _I, _D,
-             _I, _D, _I, _P, _P, _P, _P, _P, _P)
-#: Per-query counter columns the kernels write.
-_NCOUNT = 5
+_ARGTYPES = (_P, _P, _I, _P, _P, _P, _P, _P, _I, _I, _P, _I, _D, _I, _D, _I,
+             _P, _P, _P, _P, _P, _P, _P)
 #: A ``dense_min`` no candidate mass reaches: the dense route is off.
 NEVER_DENSE = 2 ** 62
 
@@ -104,7 +102,7 @@ class CKernel:
     def __init__(self, lib, ddot):
         self.fn = lib.scan
         self.fn.argtypes = _ARGTYPES
-        self.fn.restype = None
+        self.fn.restype = ctypes.c_int64
         self.ddot = ddot
 
 
@@ -128,15 +126,17 @@ class BoundScan:
         self.layout = (kernel.ddot,
                        *_layouts.get(flat, lambda: _pointer_layout(flat)))
 
-    def scan(self, full, points, rows, cand, ub, k):
-        """``(values, traces, dense)`` for the queries of one query
+    def scan(self, points, rows, cand, ub, k):
+        """``(dists, idx, counters, dense)``: the block of one query
         cluster.
 
         ``points`` (nq, d) and ``rows`` (nq, m) are the cluster's active
-        queries and their centre-distance rows; a value is the sorted
-        ``(dists, idx)`` pair of one query.  ``dense`` lists the
-        positions the dense route picked; their value and trace are
-        ``None``.
+        queries and their centre-distance rows.  ``dists``/``idx`` are
+        ``(nq, k)``, ascending and padded with ``inf`` / -1;
+        ``counters`` is ``(nq, 7)`` in
+        :data:`~repro.core.filters.SCAN_COUNTERS` order.  ``dense`` is
+        ``None``, or the boolean mask of the queries the dense route
+        picked, whose rows are padding and whose counters are 0.
         """
         points = np.ascontiguousarray(points, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -149,30 +149,15 @@ class BoundScan:
             raise ValueError("scan inputs do not match the flat layout")
         out_d = np.empty((nq + 1, k))          # the last row is scratch
         out_i = np.empty((nq + 1, k), dtype=np.int64)
-        counters = np.empty((nq, _NCOUNT), dtype=np.int64)
-        self.fn(full, *self.layout, _ptr(points), _ptr(rows), nq,
-                rows.shape[1], _ptr(cand), cand.size, float(ub), k,
-                BOUND_COMPARISON_RTOL, self.dense_min, _ptr(self.diff),
-                _ptr(out_d[nq]), _ptr(out_i[nq]), _ptr(out_d), _ptr(out_i),
-                _ptr(counters))
-        n_cand = int(cand.size)
-        values = []
-        traces = []
-        dense = []
-        for i, (steps, breaks, examined, accepted, n_out) in enumerate(
-                counters.tolist()):
-            if n_out < 0:
-                dense.append(i)
-                values.append(None)
-                traces.append(None)
-                continue
-            values.append((out_d[i, :n_out], out_i[i, :n_out]))
-            traces.append(ScanTrace(
-                examined=examined, distance_computations=examined,
-                center_distance_computations=n_cand,
-                heap_updates=accepted if full else 0, accepted=accepted,
-                breaks=breaks, steps=steps))
-        return values, traces, dense
+        counters = np.empty((nq, len(SCAN_COUNTERS)), dtype=np.int64)
+        dense = np.empty(nq, dtype=np.bool_)
+        n_dense = self.fn(
+            *self.layout, _ptr(points), _ptr(rows), nq, rows.shape[1],
+            _ptr(cand), cand.size, float(ub), k, BOUND_COMPARISON_RTOL,
+            self.dense_min, _ptr(self.diff), _ptr(out_d[nq]),
+            _ptr(out_i[nq]), _ptr(out_d), _ptr(out_i), _ptr(counters),
+            _ptr(dense))
+        return out_d[:nq], out_i[:nq], counters, dense if n_dense else None
 
 
 # ----------------------------------------------------------------------

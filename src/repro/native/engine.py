@@ -1,29 +1,26 @@
-"""The flat level-2 stage and its engine registrations.
+"""The flat level-2 stage and its engine registration.
 
-The two engines below run :func:`repro.core.ti_knn.ti_knn_join` — the
-same Step-1 plan, level-1 filter, per-cluster ``center_distance_rows``
+``ti-flat`` runs :func:`repro.core.ti_knn.ti_knn_join` — the same
+Step-1 plan, level-1 filter, per-cluster ``center_distance_rows``
 batching and counter accounting as ``ti-cpu`` — with a level-2 stage
 (:class:`FlatScan`) that scans the
 :class:`~repro.native.layout.FlatTargets` CSR pack instead of the
-clustered set's ragged member lists: one call of the C kernel
-(:mod:`repro.native.cscan`) per query cluster, or of the vectorized
-numpy kernels per query when the C kernel cannot be built.  Queries
-the triangle inequality cannot prune take the dense route instead
+clustered set's ragged member lists, with Algorithm 2's full filter:
+one call of the C kernel (:mod:`repro.native.cscan`), or of the numpy
+kernels when the C kernel cannot be built, per query cluster.  Each
+call returns one block (padded neighbour rows and a counter block,
+see :class:`repro.core.ti_knn.Level2`).  Queries the triangle
+inequality cannot prune take the dense route instead
 (:class:`DenseScan`): the kernels' pick leaves them out, and one exact
 GEMM shortlist per call answers them with the same distances.
+``stats.extra["kernel_tier"]`` says which kernels ran: ``"c-flat"`` or
+``"numpy-flat"``.
 
-==============  =======  =================================
-name            filter   ``stats.extra["kernel_tier"]``
-==============  =======  =================================
-``ti-flat``     full     ``"c-flat"`` or ``"numpy-flat"``
-``sweet-flat``  partial  ``"c-flat"`` or ``"numpy-flat"``
-==============  =======  =================================
-
-Both declare ``supports_prepared_index``, so they compose with query
-batching and the process/thread shard pools exactly like ``ti-cpu``
-(shard workers resolve engines by name); on the TI route results and
-funnel counters are bit-identical to the reference engines, which the
-parity suite (tests/native/) asserts.
+The engine declares ``supports_prepared_index``, so it composes with
+query batching and the process/thread shard pools exactly like
+``ti-cpu`` (shard workers resolve engines by name); on the TI route
+results and funnel counters are bit-identical to ``ti-cpu``'s, which
+the parity suite (tests/native/) asserts.
 """
 
 from __future__ import annotations
@@ -34,14 +31,14 @@ import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
 from ..core.bounds import masked_nearest_columns
-from ..core.filters import ScanTrace
+from ..core.filters import SCAN_COUNTERS
 from ..core.ti_knn import TopKScan, ti_knn_join
 from . import cscan, scan_numpy
 from .layout import flat_targets
 
 __all__ = ["FlatScan", "ENGINES", "NumpyScan", "DenseScan",
            "DENSE_CROSSOVER", "dense_threshold", "flat_backend",
-           "scan_query_full", "scan_query_partial"]
+           "scan_query_full"]
 
 
 #: The dense route's crossover: a query goes dense when the clusters
@@ -63,28 +60,22 @@ def dense_threshold(flat):
 
 
 class NumpyScan:
-    """The numpy kernels behind the per-query-cluster entry points."""
+    """The numpy kernels behind :func:`scan_query_full`."""
 
     def __init__(self, flat, dense_min=cscan.NEVER_DENSE):
         self.flat = flat
         self.dense_min = dense_min
 
-    def scan(self, full, points, rows, cand, ub, k):
-        kernel = (scan_numpy.scan_query_full if full
-                  else scan_numpy.scan_query_partial)
-        picked = scan_numpy.dense_pick(self.flat, rows, cand, k,
-                                       self.dense_min)
-        values = []
-        traces = []
-        for point, row, dense in zip(points, rows, picked.tolist()):
-            if dense:
-                values.append(None)
-                traces.append(None)
-                continue
-            dists, idx, trace = kernel(self.flat, point, row, cand, ub, k)
-            values.append((dists, idx))
-            traces.append(trace)
-        return values, traces, np.flatnonzero(picked).tolist()
+    def scan(self, points, rows, cand, ub, k):
+        return scan_numpy.scan(self.flat, points, rows, cand, ub, k,
+                               self.dense_min)
+
+
+#: Counter-block columns (:data:`SCAN_COUNTERS`) of the dense route.
+_RANKED = [SCAN_COUNTERS.index(name)
+           for name in ("examined", "distance_computations", "steps")]
+_CENTERS = SCAN_COUNTERS.index("center_distance_computations")
+_ACCEPTED = SCAN_COUNTERS.index("accepted")
 
 
 class DenseScan:
@@ -97,53 +88,49 @@ class DenseScan:
     A query's candidates are the columns its centre-distance row holds
     (the others are NaN), so one call answers queries of any number of
     query clusters; ``cand`` and ``ub`` are ignored.  Each query needs
-    at least ``k`` candidate members, which the pick guarantees.
+    at least ``k`` candidate members, which the pick guarantees.  A
+    dense query ranks every candidate member: its counters count them
+    all as examined, computed and stepped over, and ``k`` as accepted.
     """
 
     def __init__(self, flat):
         self.flat = flat
         self.reranked = 0
 
-    def scan(self, full, points, rows, cand, ub, k):
+    def scan(self, points, rows, cand, ub, k):
         flat = self.flat
-        sizes = flat.sizes()
-        values = []
-        traces = []
+        n = rows.shape[0]
+        dists = np.empty((n, k))
+        idx = np.empty((n, k), dtype=np.int64)
+        counters = np.zeros((n, len(SCAN_COUNTERS)), dtype=np.int64)
         step = max(1, _MASK_ELEMS // flat.points.shape[0])
-        for start in range(0, rows.shape[0], step):
-            is_cand = ~np.isnan(rows[start:start + step])
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            is_cand = ~np.isnan(rows[start:stop])
             # Column m stands for the removed rows: never allowed.
             allowed = np.pad(is_cand, ((0, 0), (0, 1)))[:, flat.row_cluster]
-            dists, idx, reranked = masked_nearest_columns(
-                points[start:start + step], flat.points, k, flat.sq_norms,
-                allowed, scan_numpy.pair_distances)
+            dists[start:stop], idx[start:stop], reranked = \
+                masked_nearest_columns(
+                    points[start:stop], flat.points, k, flat.sq_norms,
+                    allowed, scan_numpy.pair_distances)
             self.reranked += reranked
-            values.extend(zip(dists, idx))
-            traces.extend(
-                ScanTrace(examined=ranked, distance_computations=ranked,
-                          center_distance_computations=n_cand, accepted=k,
-                          steps=ranked)
-                for ranked, n_cand in zip(
-                    np.where(is_cand, sizes, 0).sum(axis=1).tolist(),
-                    np.count_nonzero(is_cand, axis=1).tolist()))
-        return values, traces, []
+            counters[start:stop, _RANKED] = \
+                np.where(is_cand, flat.sizes(), 0).sum(axis=1)[:, None]
+            counters[start:stop, _CENTERS] = np.count_nonzero(is_cand,
+                                                              axis=1)
+        counters[:, _ACCEPTED] = k
+        return dists, idx, counters, None
 
 
 def scan_query_full(backend, points, rows, cand, ub, k):
-    """Full scans of one query cluster's active queries.
+    """Full-filter scans of one query cluster's active queries.
 
     ``backend`` is a :class:`~repro.native.cscan.BoundScan`, a
-    :class:`NumpyScan` or a :class:`DenseScan`; returns per-query
-    ``(values, traces)`` lists and the positions left to the dense
-    route (whose entries are ``None``).
+    :class:`NumpyScan` or a :class:`DenseScan`; returns its
+    ``(dists, idx, counters, dense)`` block (see
+    :meth:`~repro.native.cscan.BoundScan.scan`).
     """
-    return backend.scan(True, points, rows, cand, ub, k)
-
-
-def scan_query_partial(backend, points, rows, cand, ub, k):
-    """Partial scans of one query cluster's active queries (see
-    :func:`scan_query_full`)."""
-    return backend.scan(False, points, rows, cand, ub, k)
+    return backend.scan(points, rows, cand, ub, k)
 
 
 def flat_backend(flat, dense_min=cscan.NEVER_DENSE):
@@ -160,12 +147,12 @@ def flat_backend(flat, dense_min=cscan.NEVER_DENSE):
 class FlatScan(TopKScan):
     """Top-k level 2 over the flat layout, one entry-point call per
     query cluster (see :func:`flat_backend`), plus one call of the
-    dense route for the queries its pick collected."""
+    dense route for the queries its pick collected, whose rows it
+    writes over the padding the TI blocks left."""
 
-    def __init__(self, k, filter_strength="full"):
-        super().__init__(k, filter_strength)
-        self.method = "%s/%s" % ("ti-flat" if self.full else "sweet-flat",
-                                 filter_strength)
+    def __init__(self, k):
+        super().__init__(k)
+        self.method = "ti-flat/full"
 
     def scan(self, join, work):
         flat = flat_targets(join.plan.target_clusters)
@@ -173,57 +160,48 @@ class FlatScan(TopKScan):
         extra = join.stats.extra
         extra["kernel_tier"] = tier
         queries = join.queries
+        local_row = join.local_row
         dense_ids = []
         dense_rows = []
         for qc, scanned, rows, cand, ub in work:
             # Looked up per call, so a timer patched over the module
             # global sees every call.
-            entry = scan_query_full if self.full else scan_query_partial
-            values, traces, dense = entry(backend, queries[scanned], rows,
-                                          cand, ub, self.k)
-            if dense:
+            dists, idx, counters, dense = scan_query_full(
+                backend, queries[scanned], rows, cand, ub, self.k)
+            if dense is not None:
                 dense_ids.append(scanned[dense])
                 dense_rows.append(rows[dense])
-                yield from (item for item in zip(scanned, values, traces)
-                            if item[1] is not None)
-            else:
-                yield from zip(scanned, values, traces)
+            yield local_row[scanned], (dists, idx), counters
         extra["dense_rows"] = extra["dense_reranked"] = 0
         if dense_ids:
             dense_ids = np.concatenate(dense_ids)
-            entry = scan_query_full if self.full else scan_query_partial
             dense_scan = DenseScan(flat)
-            values, traces, _ = entry(dense_scan, queries[dense_ids],
-                                      np.concatenate(dense_rows), None,
-                                      np.inf, self.k)
+            dists, idx, counters, _ = scan_query_full(
+                dense_scan, queries[dense_ids], np.concatenate(dense_rows),
+                None, np.inf, self.k)
             extra["dense_rows"] = int(dense_ids.size)
             extra["dense_reranked"] = dense_scan.reranked
-            yield from zip(dense_ids, values, traces)
+            yield local_row[dense_ids], (dists, idx), counters
 
 
 # ----------------------------------------------------------------------
 # Engine registration (see repro.engine.builtin)
 # ----------------------------------------------------------------------
-def _make_run(strength):
-    def _run(queries, targets, k, ctx, filter_strength=strength, **options):
-        return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
-                           query_subset=ctx.query_subset,
-                           account_prepare=ctx.account_prepare,
-                           level2=FlatScan(k, filter_strength), **options)
-    return _run
+def _run(queries, targets, k, ctx, **options):
+    if "filter_strength" in options:
+        raise ValueError(
+            "ti-flat runs the full filter only and takes no "
+            "filter_strength option; ti-cpu runs both strengths")
+    return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
+                       query_subset=ctx.query_subset,
+                       account_prepare=ctx.account_prepare,
+                       level2=FlatScan(k), **options)
 
-
-_FLAT_CAPS = EngineCaps(uses_seed=True, supports_prepared_index=True)
 
 ENGINES = (
     EngineSpec(
         name="ti-flat",
-        run=_make_run("full"),
-        caps=_FLAT_CAPS,
+        run=_run,
+        caps=EngineCaps(uses_seed=True, supports_prepared_index=True),
         description="flat-layout vectorized TI KNN (full filter)"),
-    EngineSpec(
-        name="sweet-flat",
-        run=_make_run("partial"),
-        caps=_FLAT_CAPS,
-        description="flat-layout vectorized Sweet KNN partial filter"),
 )

@@ -1,13 +1,16 @@
 """Vectorized numpy flat level-2 scan.
 
-This is Algorithm 2 (and Sweet KNN's weakened partial variant) over
-the :class:`~repro.native.layout.FlatTargets` CSR layout, with the
-top-k predicate specialized out of the accumulator protocol: the
-per-query heap is a pair of preallocated flat arrays mutated by an
-inline replica of :class:`repro.kselect.KNearestHeap`, and the
-updating bound θ is a local float.
+This is Algorithm 2 over the :class:`~repro.native.layout.FlatTargets`
+CSR layout, with the top-k predicate specialized out of the
+accumulator protocol: the per-query heap is a pair of preallocated
+flat arrays mutated by an inline replica of
+:class:`repro.kselect.KNearestHeap`, and the updating bound θ is a
+local float.  :func:`scan` is the numpy twin of the C kernel
+(``_scan.c``): one call scans the active queries of one query cluster
+and returns their block (padded neighbour rows and the counter
+block in :data:`~repro.core.filters.SCAN_COUNTERS` order).
 
-The full scan runs in two stages, each decision-faithful to the
+Each query's scan runs in two stages, each decision-faithful to the
 sequential loop:
 
 * **Head test.**  A cluster's first member has the smallest lower
@@ -61,11 +64,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.filters import (BOUND_COMPARISON_RTOL, ScanTrace,
-                            bound_comparison_tol)
+from ..core.filters import BOUND_COMPARISON_RTOL, SCAN_COUNTERS
 
-__all__ = ["scan_query_full", "scan_query_partial", "heap_sorted_items",
-           "select_k_flat", "dense_pick", "pair_distances"]
+__all__ = ["scan", "heap_sorted_items", "dense_pick", "pair_distances"]
 
 #: Members whose exact distances are computed per vectorised batch
 #: (matches the simulated-GPU scan's window).
@@ -81,20 +82,6 @@ def heap_sorted_items(heap_dists, heap_idx):
     mask = heap_idx >= 0
     order = np.argsort(heap_dists[mask], kind="stable")
     return heap_dists[mask][order], heap_idx[mask][order]
-
-
-def select_k_flat(dists, idx, k):
-    """k smallest pairs by ``(distance, index)``, ascending.
-
-    Bit-equal to :func:`repro.kselect.select_k_from_pairs`
-    (``heapq.nsmallest`` over ``(dist, t)`` tuples): primary key
-    distance, ties broken by target index.
-    """
-    if dists.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    take = min(int(k), dists.size)
-    order = np.lexsort((idx, dists))[:take]
-    return dists[order], idx[order]
 
 
 def _heap_replace_root(heap_dists, heap_idx, distance, index):
@@ -125,32 +112,34 @@ def _heap_replace_root(heap_dists, heap_idx, distance, index):
         pos = largest
 
 
-def scan_query_full(flat, query_point, row, cand, ub, k):
-    """One query's full (updating-θ) scan over the flat layout.
+def scan(flat, points, rows, cand, ub, k, dense_min):
+    """``(dists, idx, counters, dense)``: the block of one query
+    cluster, exactly as :meth:`repro.native.cscan.BoundScan.scan`
+    returns it.
 
-    Parameters
-    ----------
-    flat:
-        :class:`~repro.native.layout.FlatTargets`.
-    query_point:
-        (d,) query coordinates.
-    row:
-        Precomputed query-to-centre distances (``center_distance_rows``
-        row; non-candidate columns may be NaN).
-    cand:
-        Level-1 survivor cluster ids, ascending by centre distance.
-    ub:
-        The query cluster's level-1 upper bound.
-    k:
-        Neighbours to keep.
-
-    Returns
-    -------
-    (dists, idx, trace)
-        Sorted neighbour arrays (ascending; ties in heap order) and
-        the :class:`~repro.core.filters.ScanTrace` work counters.
+    ``points`` (nq, d) and ``rows`` (nq, m) are the cluster's active
+    queries and their centre-distance rows (non-candidate columns may
+    be NaN), ``cand`` the level-1 survivors ascending by centre
+    distance, ``ub`` the cluster's level-1 bound.  Queries
+    :func:`dense_pick` sends dense (at ``dense_min`` rows) are left
+    as padding with zero counters.
     """
-    trace = ScanTrace()
+    nq = points.shape[0]
+    dists = np.full((nq, k), np.inf)
+    idx = np.full((nq, k), -1, dtype=np.int64)
+    counters = np.zeros((nq, len(SCAN_COUNTERS)), dtype=np.int64)
+    dense = dense_pick(flat, rows, cand, k, dense_min)
+    for i in np.flatnonzero(~dense).tolist():
+        heap_dists, heap_idx, counters[i] = _scan_query(
+            flat, points[i], rows[i], cand, ub, k)
+        d, t = heap_sorted_items(heap_dists, heap_idx)
+        dists[i, :d.size] = d
+        idx[i, :t.size] = t
+    return dists, idx, counters, dense if dense.any() else None
+
+
+def _scan_query(flat, query_point, row, cand, ub, k):
+    """One query's scan: its heap arrays and its counter row."""
     k = int(k)
     ub = float(ub)
     heap_dists = [np.inf] * k
@@ -264,74 +253,10 @@ def scan_query_full(flat, query_point, row, cand, ub, k):
     steps += n_cand - prev - 1
     breaks += n_cand - prev - 1
 
-    trace.center_distance_computations = n_cand
-    trace.steps = steps
-    trace.breaks = breaks
-    trace.examined = examined
-    trace.distance_computations = examined
-    trace.heap_updates = accepted
-    trace.accepted = accepted
-    dists, idx = heap_sorted_items(
-        np.asarray(heap_dists, dtype=np.float64),
-        np.asarray(heap_idx, dtype=np.int64))
-    return dists, idx, trace
-
-
-def scan_query_partial(flat, query_point, row, cand, ub, k):
-    """One query's partial (fixed-θ) scan over the flat layout.
-
-    θ stays at the level-1 ``UB``, so the skip prefix, compute range
-    and break point are pure positional thresholds and every cluster
-    vectorizes completely; the survivors are k-selected afterwards
-    (``select_k_flat``), exactly the reference partial filter.
-    """
-    trace = ScanTrace()
-    ub = float(ub)
-    points = flat.points
-    member_idx = flat.member_idx
-    member_dists = flat.member_dists
-    offsets = flat.offsets
-    qp = query_point
-    kept_dists = []
-    kept_idx = []
-
-    for tc in cand:
-        q2tc = row[tc]
-        trace.center_distance_computations += 1
-        tol = bound_comparison_tol(q2tc, ub)
-        start = offsets[tc]
-        end = offsets[tc + 1]
-        size = end - start
-        if size == 0:
-            continue
-        lb = q2tc - member_dists[start:end]
-        limit = ub + tol
-        skip_end = int(np.searchsorted(lb, -limit, side="left"))
-        stop = int(np.searchsorted(lb, limit, side="right"))
-        trace.steps += stop
-        if stop < size:
-            trace.steps += 1
-            trace.breaks += 1
-        survivors = stop - skip_end
-        if survivors > 0:
-            trace.examined += survivors
-            trace.distance_computations += survivors
-            trace.accepted += survivors
-            w_idx = member_idx[start + skip_end:start + stop]
-            diffs = points[w_idx]
-            diffs -= qp
-            kept_dists.append(np.sqrt(
-                (diffs[:, None, :] @ diffs[:, :, None]).ravel()))
-            kept_idx.append(w_idx)
-
-    if kept_dists:
-        all_dists = np.concatenate(kept_dists)
-        all_idx = np.concatenate(kept_idx)
-    else:
-        all_dists = np.empty(0, dtype=np.float64)
-        all_idx = np.empty(0, dtype=np.int64)
-    dists, idx = select_k_flat(all_dists, all_idx, k)
-    return dists, idx, trace
+    return (np.asarray(heap_dists, dtype=np.float64),
+            np.asarray(heap_idx, dtype=np.int64),
+            # SCAN_COUNTERS order
+            (examined, examined, n_cand, accepted, accepted, breaks, steps))
 
 
 def dense_pick(flat, rows, cand, k, dense_min):

@@ -5,10 +5,11 @@ worker fan-out into a :class:`Decision`:
 
 * **a named engine** stays pinned — the scheduler never overrides the
   caller;
-* **``method="auto"``** (or ``None``) follows the paper's Fig. 8 rule
-  on the host flat tier: ``ti-flat`` (full filter) when
-  :func:`repro.core.adaptive.filter_strength_for` says ``"full"``
-  (``k/d <= 8``), ``sweet-flat`` (partial filter) otherwise;
+* **``method="auto"``** (or ``None``) picks ``ti-flat``, the host
+  flat tier, at every shape.  Its full filter beat the partial filter
+  on the held-out grid and on the ``k/d > 8`` shapes where the paper's
+  Fig. 8 rule picks the partial one (docs/SCHEDULER.md), so the rule
+  stays with the simulated ``sweet`` engine;
 * **workers and shards** resolve through
   :func:`repro.parallel.shard.resolve_workers` and
   :func:`~repro.parallel.shard.plan_shards`, exactly as a direct call
@@ -62,35 +63,34 @@ class Decision:
         return info
 
 
-def _engine_filter_strength(name, k, dim):
-    """The filter strength an engine resolves for this shape.
+def _engine_filter_strength(name, k, dim, filter_strength):
+    """The filter strength an engine runs at this shape.
 
-    The host flat tier encodes it in the engine name; the simulated
-    Sweet engine runs the Fig. 8 rule; the basic KNN-TI port and the
-    sequential reference use the full filter; dense engines have no
-    filter knob.
+    The simulated Sweet engine runs the Fig. 8 rule; the sequential
+    reference runs the caller's ``filter_strength`` option (default
+    full); the flat tier and the basic KNN-TI port run the full
+    filter; dense engines have no filter knob.
     """
     from .core.adaptive import filter_strength_for
 
-    if name == "sweet-flat":
-        return "partial"
     if name == "sweet":
         return filter_strength_for(k, dim)
-    if name in ("ti-flat", "ti-gpu", "ti-cpu"):
+    if name == "ti-cpu":
+        return filter_strength or "full"
+    if name in ("ti-flat", "ti-gpu"):
         return "full"
     return None
 
 
 def decide(n_queries, n_targets, k, dim, method=None, workers=None,
-           pool=None, budget_rows=None):
+           pool=None, budget_rows=None, filter_strength=None):
     """Resolve one scheduling decision.
 
     Parameters
     ----------
     method:
         A registered engine name to pin, or ``None``/``"auto"`` for
-        the Fig. 8 rule: ``ti-flat`` when ``k/d <= 8``, ``sweet-flat``
-        otherwise.
+        ``ti-flat``.
     workers, pool:
         The caller's (unresolved) knobs; explicit values and the
         ``REPRO_WORKERS``/``REPRO_POOL`` environment resolve exactly as
@@ -98,25 +98,24 @@ def decide(n_queries, n_targets, k, dim, method=None, workers=None,
     budget_rows:
         The device-memory row budget, when known, so the recorded
         shard split matches the shard planner's.
+    filter_strength:
+        The call's ``filter_strength`` option, which ``ti-cpu`` runs.
     """
-    from .core.adaptive import FILTER_STRENGTH_RATIO, filter_strength_for
     from .parallel.shard import plan_shards, resolve_pool_kind, \
         resolve_workers
 
     auto = method in (None, "auto")
     if auto:
-        strength = filter_strength_for(k, dim)
-        engine = "ti-flat" if strength == "full" else "sweet-flat"
-        reason = "Fig. 8 rule: k/d = %d/%d %s %g" % (
-            int(k), int(dim), "<=" if strength == "full" else ">",
-            FILTER_STRENGTH_RATIO)
+        engine = "ti-flat"
+        reason = "auto: the host flat tier"
     else:
         engine = method
         reason = "engine pinned to %s" % engine
     rows = int(budget_rows) if budget_rows else int(n_queries)
     shard_plan = plan_shards(n_queries, rows, resolve_workers(workers),
                              kind=resolve_pool_kind(pool))
-    filter_strength = _engine_filter_strength(engine, k, dim)
+    filter_strength = _engine_filter_strength(engine, k, dim,
+                                              filter_strength)
     if filter_strength is not None:
         reason += "; filter=%s" % filter_strength
     return Decision(

@@ -17,34 +17,41 @@ from repro.kselect import merge_sorted_lists, select_k_from_pairs
 
 @pytest.fixture
 def plan(clustered_points):
-    plan = prepare_clusters(clustered_points, clustered_points,
+    return prepare_clusters(clustered_points, clustered_points,
                             np.random.default_rng(0), mq=8, mt=8)
-    plan.run_level1(6)
-    return plan
+
+
+@pytest.fixture
+def level1(plan):
+    """The plan's ``(ubs, candidates)`` for k = 6."""
+    return plan.level1(6)
 
 
 def _scan(plan, points, q, k=6, **kwargs):
     qc = plan.query_clusters.assignment[q]
+    ubs, candidates = plan.level1(k)
     return scan_query_logged(points[q], plan.target_clusters,
-                             plan.candidates[qc], plan.ubs[qc], k,
+                             candidates[qc], ubs[qc], k,
                              Layout.ROW_MAJOR, **kwargs)
 
 
 class TestScanAgainstReferenceFilter:
-    def test_full_scan_matches_reference_filter(self, clustered_points, plan):
+    def test_full_scan_matches_reference_filter(self, clustered_points, plan,
+                                                level1):
         """The GPU lane scan and the CPU reference filter must make
         identical decisions: same results, same counters."""
+        ubs, candidates = level1
         ct = plan.target_clusters
         for q in range(0, len(clustered_points), 7):
             qc = plan.query_clusters.assignment[q]
-            cand = plan.candidates[qc]
+            cand = candidates[qc]
             heap, trace, _ = _scan(plan, clustered_points, q)
             row = np.full(ct.n_clusters, np.nan)
             if cand.size:
                 row[cand] = euclidean_many(ct.centers[cand],
                                            clustered_points[q])
             ref_heap, ref_trace = point_filter_full(
-                clustered_points[q], q, ct, cand, plan.ubs[qc], 6,
+                clustered_points[q], q, ct, cand, ubs[qc], 6,
                 center_dists_row=row)
             assert (trace.distance_computations
                     == ref_trace.distance_computations)
@@ -52,11 +59,13 @@ class TestScanAgainstReferenceFilter:
             np.testing.assert_allclose(heap.sorted_items()[0],
                                        ref_heap.sorted_items()[0])
 
-    def test_partial_scan_matches_reference(self, clustered_points, plan):
+    def test_partial_scan_matches_reference(self, clustered_points, plan,
+                                            level1):
+        ubs, candidates = level1
         ct = plan.target_clusters
         for q in range(0, len(clustered_points), 13):
             qc = plan.query_clusters.assignment[q]
-            cand = plan.candidates[qc]
+            cand = candidates[qc]
             survivors, trace, _ = _scan(plan, clustered_points, q,
                                         strength="partial")
             row = np.full(ct.n_clusters, np.nan)
@@ -64,7 +73,7 @@ class TestScanAgainstReferenceFilter:
                 row[cand] = euclidean_many(ct.centers[cand],
                                            clustered_points[q])
             dists, idx, ref_trace = point_filter_partial(
-                clustered_points[q], q, ct, cand, plan.ubs[qc], 6,
+                clustered_points[q], q, ct, cand, ubs[qc], 6,
                 center_dists_row=row)
             assert (trace.distance_computations
                     == ref_trace.distance_computations)
@@ -73,12 +82,13 @@ class TestScanAgainstReferenceFilter:
 
 
 class TestLaneLogStructure:
-    def test_prologue_then_enters(self, clustered_points, plan):
+    def test_prologue_then_enters(self, clustered_points, plan, level1):
+        _, candidates = level1
         _, _, log = _scan(plan, clustered_points, 0)
         codes = log.code
         assert codes[0] == CODE_PROLOGUE
         qc = plan.query_clusters.assignment[0]
-        assert codes.count(CODE_ENTER) == len(plan.candidates[qc])
+        assert codes.count(CODE_ENTER) == len(candidates[qc])
 
     def test_steps_match_trace(self, clustered_points, plan):
         _, trace, log = _scan(plan, clustered_points, 0)
@@ -93,12 +103,13 @@ class TestLaneLogStructure:
         assert member_steps == trace.steps
 
     def test_row_major_compute_cheaper_than_column(self, clustered_points,
-                                                   plan):
+                                                   plan, level1):
+        ubs, candidates = level1
         _, _, row_log = _scan(plan, clustered_points, 3)
         qc = plan.query_clusters.assignment[3]
         _, _, col_log = scan_query_logged(
-            clustered_points[3], plan.target_clusters, plan.candidates[qc],
-            plan.ubs[qc], 6, Layout.COLUMN_MAJOR)
+            clustered_points[3], plan.target_clusters, candidates[qc],
+            ubs[qc], 6, Layout.COLUMN_MAJOR)
         # d=8: row-major point load = 1 transaction; column-major = 2
         # sector-equivalents.
         row_txn = sum(row_log.txns) + sum(row_log.l2)

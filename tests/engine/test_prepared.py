@@ -30,11 +30,11 @@ class TestPreparedIndex:
         index = PreparedIndex(clustered_points, seed=0)
         queries = rng.normal(size=(20, clustered_points.shape[1]))
         plan = index.join_plan(queries)
-        plan.run_level1(3)
-        ubs3 = plan.ubs
-        plan.run_level1(5)
-        plan.run_level1(3)
-        assert plan.ubs is ubs3  # second k=3 request hits the cache
+        ubs3, candidates3 = plan.level1(3)
+        plan.level1(5)
+        again, candidates = plan.level1(3)
+        # The second k=3 request hits the cache.
+        assert again is ubs3 and candidates is candidates3
 
     def test_rejects_bad_inputs(self, clustered_points):
         with pytest.raises(ValidationError):

@@ -12,7 +12,7 @@ from repro.errors import ValidationError
 BUILTIN = ("sweet", "ti-gpu", "ti-cpu", "cublas", "brute", "kdtree",
            "range-join", "self-join-eps", "rknn", "range-join-brute",
            "rknn-brute", "graph-bfs", "graph-greedy",
-           "ti-flat", "sweet-flat")
+           "ti-flat")
 
 
 def _toy_run(queries, targets, k, ctx, **options):

@@ -162,7 +162,7 @@ class TestRebuildPolicy:
 
 class TestPropertyRandomSequences:
     @pytest.mark.parametrize("trial", range(4))
-    @pytest.mark.parametrize("method", ["ti-cpu", "ti-flat", "sweet-flat"])
+    @pytest.mark.parametrize("method", ["ti-cpu", "ti-flat"])
     def test_update_sequence_equals_fresh_rebuild(self, clustered_points,
                                                   method, trial):
         """Property: after every step of a random add/remove sequence,

@@ -1,8 +1,7 @@
 """The C kernel's loader: every failure falls back to the numpy kernels.
 
 A missing compiler, a missing BLAS symbol, a ``ddot`` that fails the
-probe and a failing build each leave ``ti-flat``/``sweet-flat`` on the
-numpy kernels (``kernel_tier == "numpy-flat"``) with the answers and
+probe and a failing build each leave ``ti-flat`` on the numpy kernels (``kernel_tier == "numpy-flat"``) with the answers and
 counters of the reference engine, and record why in
 ``cscan.fallback_reason``.  The build cache is reused across processes
 and survives a damaged entry.
@@ -51,20 +50,17 @@ def _points():
 
 
 def _assert_fell_back(reason_part):
-    """Both flat engines answer on the numpy kernels, bit-identical to
+    """The flat engine answers on the numpy kernels, bit-identical to
     the reference, and the loader says why."""
     points = _points()
-    for method, options in (("ti-flat", {}),
-                            ("sweet-flat", {"filter_strength": "partial"})):
-        result = knn_join(points, points, 6, method=method, seed=3)
-        reference = knn_join(points, points, 6, method="ti-cpu", seed=3,
-                             **options)
-        assert result.stats.extra["kernel_tier"] == "numpy-flat"
-        assert np.array_equal(result.indices, reference.indices)
-        assert np.array_equal(result.distances, reference.distances)
-        for name in COUNTERS:
-            assert getattr(result.stats, name) == \
-                getattr(reference.stats, name), name
+    result = knn_join(points, points, 6, method="ti-flat", seed=3)
+    reference = knn_join(points, points, 6, method="ti-cpu", seed=3)
+    assert result.stats.extra["kernel_tier"] == "numpy-flat"
+    assert np.array_equal(result.indices, reference.indices)
+    assert np.array_equal(result.distances, reference.distances)
+    for name in COUNTERS:
+        assert getattr(result.stats, name) == \
+            getattr(reference.stats, name), name
     assert reason_part in cscan.fallback_reason
 
 
@@ -179,9 +175,8 @@ class TestCache:
         assert cscan.load() is not None, cscan.fallback_reason
         assert os.path.getsize(path) == size
         points = _points()
-        result = knn_join(points, points, 6, method="sweet-flat", seed=3)
-        reference = knn_join(points, points, 6, method="ti-cpu", seed=3,
-                             filter_strength="partial")
+        result = knn_join(points, points, 6, method="ti-flat", seed=3)
+        reference = knn_join(points, points, 6, method="ti-cpu", seed=3)
         assert result.stats.extra["kernel_tier"] == "c-flat"
         assert np.array_equal(result.indices, reference.indices)
         assert np.array_equal(result.distances, reference.distances)

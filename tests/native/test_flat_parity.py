@@ -1,13 +1,10 @@
-"""Flat numpy tier parity: bit-identical to the sequential reference.
+"""Flat tier parity: bit-identical to the sequential reference.
 
-The exactness contract of :mod:`repro.native`: the ``ti-flat`` and
-``sweet-flat`` engines must return the same neighbour indices, the
-same distances to the last bit, and the same filtering funnel counters
-as the sequential reference engine — per filter strength, at every
-worker count, over every pool flavour, and through an mmap-loaded
-index and the serving path.  The ``sweet-*`` engines implement the
-paper's partial (fixed-θ) filter, so their reference is ``ti-cpu``
-with ``filter_strength="partial"``.
+The exactness contract of :mod:`repro.native`: the ``ti-flat`` engine
+must return the same neighbour indices, the same distances to the last
+bit, and the same filtering funnel counters as the sequential
+reference engine ``ti-cpu`` — at every worker count, over every pool
+flavour, and through an mmap-loaded index and the serving path.
 
 Every class runs over both level-2 backends: as written it uses the
 backend the loader picks (the C kernel wherever ``cc`` builds it), and
@@ -19,14 +16,15 @@ The counter parity cases pin the dense level-2 route off
 clusters, so its counters are not ``ti-cpu``'s.  ``TestDenseRoute``
 covers that route: forced on for every query (``force_dense``), its
 distances are the TI route's and its ids brute force's.
+``TestMixedRoutes`` covers calls that use both routes.
 """
 
 import numpy as np
 import pytest
 
 from repro import SweetKNN, knn_join
-from repro.core.filters import (center_distance_rows, point_filter_full,
-                                point_filter_partial)
+from repro.core.filters import (SCAN_COUNTERS, center_distance_rows,
+                                point_filter_full)
 from repro.core.predicates import TopKPredicate
 from repro.core.ti_knn import prepare_clusters
 from repro.index import Index
@@ -36,9 +34,8 @@ from repro.native.layout import flat_targets
 from repro.obs.funnel import check_funnel, funnel_from_stats
 from repro.parallel import shutdown_pools
 
-#: (contender, reference options) per filter strength.
-PAIRS = [("ti-flat", {}),
-         ("sweet-flat", {"filter_strength": "partial"})]
+#: (contender, reference options).
+PAIRS = [("ti-flat", {})]
 
 COUNTERS = ("level2_distance_computations", "center_distance_computations",
             "examined_points", "candidate_cluster_pairs",
@@ -182,31 +179,28 @@ class TestSerialParityNumpy(NumpyBackend, TestSerialParity):
 
 
 def _assert_kernels_match(ct, queries, members, rows, cand, ub, k):
-    """Both entry points, called once for the query block ``members``,
-    return the reference's arrays and its whole ``ScanTrace`` per query
-    (``steps`` and ``breaks`` included, which ``JoinStats`` does not
-    aggregate); returns the full scans' breaks."""
+    """The flat scan, called once for the query block ``members``,
+    returns the reference's arrays, padded, and its whole ``ScanTrace``
+    per query in its counter block (``steps`` and ``breaks`` included,
+    which ``JoinStats`` does not aggregate); returns the breaks."""
     _, backend = engine.flat_backend(flat_targets(ct))
-    full = engine.scan_query_full(backend, queries[members], rows, cand,
-                                  ub, k)
-    partial = engine.scan_query_partial(backend, queries[members], rows,
-                                        cand, ub, k)
-    breaks = 0
+    dists, idx, counters, dense = engine.scan_query_full(
+        backend, queries[members], rows, cand, ub, k)
+    assert dense is None
+    assert dists.shape == idx.shape == (len(members), k)
+    assert counters.shape == (len(members), len(SCAN_COUNTERS))
     for local, q in enumerate(members):
         heap, ref_trace = point_filter_full(
             queries[q], q, ct, cand, ub, k, center_dists_row=rows[local])
         ref_d, ref_i = heap.sorted_items()
-        (d, i), trace = full[0][local], full[1][local]
-        assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
-        assert vars(trace) == vars(ref_trace)
-        breaks += trace.breaks
-
-        ref_d, ref_i, ref_trace = point_filter_partial(
-            queries[q], q, ct, cand, ub, k, center_dists_row=rows[local])
-        (d, i), trace = partial[0][local], partial[1][local]
-        assert np.array_equal(d, ref_d) and np.array_equal(i, ref_i)
-        assert vars(trace) == vars(ref_trace)
-    return breaks
+        n = ref_d.size
+        assert np.array_equal(dists[local, :n], ref_d)
+        assert np.array_equal(idx[local, :n], ref_i)
+        assert np.isinf(dists[local, n:]).all()
+        assert (idx[local, n:] == -1).all()
+        assert dict(zip(SCAN_COUNTERS, counters[local].tolist())) == \
+            vars(ref_trace)
+    return int(counters[:, SCAN_COUNTERS.index("breaks")].sum())
 
 
 def _assert_plan_matches(queries, targets, k, plan_seed):
@@ -532,6 +526,100 @@ class TestDenseRouteNumpy(NumpyBackend, TestDenseRoute):
     pass
 
 
+#: A crossover at which some queries of one query cluster go dense and
+#: the others stay on the TI route, on :func:`mixed_points`.
+MIXED_CROSSOVER = 0.4
+
+
+def mixed_points():
+    """Overlapping clusters: the TI scan of some queries would enter
+    most of the set, of others only a few clusters."""
+    points = synthetic.gaussian_mixture(500, 8, np.random.default_rng(2),
+                                        n_clusters=8, separation=3.0)
+    return points[:80], points[80:]
+
+
+def _routed_run(monkeypatch, crossover, queries, targets, k, **options):
+    """``(result, counter row per query id, dense query ids, dense
+    masks of the kernel calls)`` of one ``ti-flat`` join."""
+    counters, dense_ids, masks = {}, set(), []
+    scan, entry = engine.FlatScan.scan, engine.scan_query_full
+
+    def spy_scan(self, join, work):
+        for local, values, block in scan(self, join, work):
+            for q, row in zip(join.active[local].tolist(), block.tolist()):
+                if q in counters:
+                    dense_ids.add(q)   # a dense block rewrites the row
+                counters[q] = row
+            yield local, values, block
+
+    def spy_entry(backend, *args):
+        out = entry(backend, *args)
+        masks.append(out[3])
+        return out
+
+    monkeypatch.setattr(engine, "DENSE_CROSSOVER", crossover)
+    monkeypatch.setattr(engine.FlatScan, "scan", spy_scan)
+    monkeypatch.setattr(engine, "scan_query_full", spy_entry)
+    try:
+        result = knn_join(queries, targets, k, method="ti-flat", seed=3,
+                          **options)
+    finally:
+        monkeypatch.setattr(engine.FlatScan, "scan", scan)
+        monkeypatch.setattr(engine, "scan_query_full", entry)
+    return result, counters, dense_ids, masks
+
+
+#: JoinStats counters summed from the scan's counter block.
+BLOCK_COUNTERS = {"level2_distance_computations": "distance_computations",
+                  "center_distance_computations":
+                      "center_distance_computations",
+                  "examined_points": "examined",
+                  "heap_updates": "heap_updates",
+                  "predicate_accepted_pairs": "accepted"}
+
+
+class TestMixedRoutes:
+    """One call on both routes: answers equal the all-TI run's; each
+    query's counters are the all-TI run's on the TI route and the
+    all-dense run's on the dense route, and the join's counters are
+    their sums."""
+
+    @pytest.mark.parametrize("options", [{}, {"query_batch_size": 13}],
+                             ids=["serial", "batched"])
+    def test_both_routes_in_one_query_cluster(self, monkeypatch, options):
+        queries, targets = mixed_points()
+        k = 6
+        mixed, rows, dense_ids, masks = _routed_run(
+            monkeypatch, MIXED_CROSSOVER, queries, targets, k, **options)
+        ti, ti_rows, ti_dense, _ = _routed_run(
+            monkeypatch, float("inf"), queries, targets, k, **options)
+        _, dense_rows, all_dense, _ = _routed_run(
+            monkeypatch, 0.0, queries, targets, k, **options)
+        assert 0 < mixed.stats.extra["dense_rows"] == len(dense_ids) \
+            < len(queries)
+        assert any(m is not None and 0 < m.sum() < m.size for m in masks)
+        assert not ti_dense and ti.stats.extra["dense_rows"] == 0
+        assert all_dense == set(range(len(queries)))
+
+        _assert_same_answers(mixed, ti)
+        for q in range(len(queries)):
+            assert rows[q] == (dense_rows if q in dense_ids
+                               else ti_rows)[q], q
+        for name, column in BLOCK_COUNTERS.items():
+            at = SCAN_COUNTERS.index(column)
+            assert getattr(mixed.stats, name) == \
+                sum(row[at] for row in rows.values()), name
+        for name in ("candidate_cluster_pairs", "level1_survivor_pairs",
+                     "init_distance_computations"):
+            assert getattr(mixed.stats, name) == getattr(ti.stats, name)
+        assert check_funnel(funnel_from_stats(mixed.stats)) == []
+
+
+class TestMixedRoutesNumpy(NumpyBackend, TestMixedRoutes):
+    pass
+
+
 class TestDensePick:
     """The C kernel replays :func:`scan_numpy.dense_pick` exactly."""
 
@@ -564,8 +652,10 @@ class TestDensePick:
                     rows = center_distance_rows(queries[members], ct, cand)
                     expected = scan_numpy.dense_pick(flat, rows, cand, k,
                                                      dense_min)
-                    _, _, dense = backend.scan(True, queries[members], rows,
-                                               cand, state.bounds[qc], k)
-                    assert dense == np.flatnonzero(expected).tolist()
+                    *_, dense = backend.scan(queries[members], rows, cand,
+                                             state.bounds[qc], k)
+                    if dense is None:
+                        dense = np.zeros(members.size, dtype=bool)
+                    assert np.array_equal(dense, expected)
                     picked.update(expected.tolist())
         assert picked == {True, False}

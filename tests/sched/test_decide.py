@@ -1,12 +1,13 @@
-"""The scheduler's contracts: pinned engines, the Fig. 8 auto rule and
+"""The scheduler's contracts: pinned engines, the auto rule and
 byte-identical decision records.
 
-* **pinned parity** — a named engine is never overridden; its filter
-  strength follows the Fig. 8 rule and its workers resolve through
+* **pinned parity** — a named engine is never overridden; the record
+  holds the filter strength it runs (the Fig. 8 rule for ``sweet``,
+  the caller's option for ``ti-cpu``) and its workers resolve through
   ``resolve_workers`` exactly as a direct call would;
-* **the auto rule** — ``method="auto"`` picks ``ti-flat`` when
-  ``k/d <= 8`` and ``sweet-flat`` above, and the scheduled join
-  computes exactly what a direct run of that engine computes;
+* **the auto rule** — ``method="auto"`` picks ``ti-flat`` at every
+  shape, ``k/d > 8`` included, and the scheduled join computes exactly
+  what a direct run of that engine computes;
 * **byte-identical decisions** — the same inputs resolve to the same
   ``Decision`` record, byte for byte, regardless of the worker-pool
   kind and of whether the index was mmap-loaded.
@@ -136,10 +137,12 @@ class TestAutoRule:
         assert not decision.engine_pinned
 
     @pytest.mark.parametrize("k,dim", [(65, 8), (40, 4), (9, 1)])
-    def test_partial_filter_shapes_pick_sweet_flat(self, k, dim):
+    def test_partial_filter_shapes_pick_ti_flat(self, k, dim):
+        # Fig. 8 would pick the partial filter here; the host flat tier
+        # runs the full one (docs/SCHEDULER.md).
         decision = sched.decide(1000, 1000, k, dim, method="auto")
-        assert decision.engine == "sweet-flat"
-        assert decision.filter_strength == "partial"
+        assert decision.engine == "ti-flat"
+        assert decision.filter_strength == "full"
         assert not decision.engine_pinned
 
     def test_none_means_auto(self):
@@ -162,10 +165,10 @@ class TestExecutedRecords:
         assert len(set(records.values())) == 1, records
 
     @pytest.mark.parametrize("k,dim,engine", [(5, 8, "ti-flat"),
-                                              (40, 4, "sweet-flat")])
+                                              (40, 4, "ti-flat")])
     def test_auto_equals_a_direct_run_of_its_pick(self, k, dim, engine):
         """The scheduler changes the choosing, never the computing: one
-        input per branch of the Fig. 8 rule."""
+        input on each side of the Fig. 8 ratio."""
         rng = np.random.default_rng(5)
         centres = rng.normal(scale=6.0, size=(6, dim))
         points = centres[rng.integers(0, 6, size=600)] \
@@ -180,3 +183,26 @@ class TestExecutedRecords:
         record = scheduled.stats.extra["decision"]
         assert record["engine"] == engine
         assert not record["engine_pinned"]
+
+
+class TestFilterStrengthRecord:
+    """The record names the filter that actually ran."""
+
+    def test_ti_cpu_records_the_strength_it_ran(self):
+        points = np.random.default_rng(4).normal(size=(200, 4))
+        for strength in ("full", "partial"):
+            result = knn_join(points, points, 5, method="ti-cpu",
+                              filter_strength=strength)
+            assert result.method == "ti-knn-cpu/" + strength
+            record = result.stats.extra["decision"]
+            assert record["filter_strength"] == strength
+            assert record["reason"].endswith("filter=" + strength)
+        default = knn_join(points, points, 5, method="ti-cpu")
+        assert default.stats.extra["decision"]["filter_strength"] == "full"
+
+    def test_ti_flat_rejects_a_filter_strength_option(self):
+        points = np.random.default_rng(4).normal(size=(200, 4))
+        for strength in ("full", "partial"):
+            with pytest.raises(ValueError, match="filter_strength"):
+                knn_join(points, points, 5, method="ti-flat",
+                         filter_strength=strength)
