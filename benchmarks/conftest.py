@@ -7,9 +7,11 @@ evaluation (Section V).  Runs are memoised in
 
 The emitted tables land in ``benchmarks/results/`` and are the source
 of the paper-vs-measured record in EXPERIMENTS.md.  At session end
-every ``BENCH_*.json`` payload is ingested into the append-only
-``TRAJECTORY.jsonl`` (deduplicated per commit), so each benchmark run
-extends the history ``python -m repro bench-gate`` gates against.
+every ``BENCH_*.json`` payload the session wrote is ingested into the
+append-only ``TRAJECTORY.jsonl`` (deduplicated per commit), so each
+benchmark run extends the history ``python -m repro bench-gate`` gates
+against; payloads the session did not touch keep the commit they were
+measured at.
 """
 
 import json
@@ -19,6 +21,16 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: ``BENCH_*.json`` name -> modification time at session start.
+_STAMPS = {}
+
+
+def _bench_stamps():
+    if not RESULTS_DIR.is_dir():
+        return {}
+    return {path.name: path.stat().st_mtime_ns
+            for path in RESULTS_DIR.glob("BENCH_*.json")}
+
 
 def pytest_configure(config):
     # The suite is meant to run with --benchmark-only; when invoked as
@@ -27,15 +39,24 @@ def pytest_configure(config):
         "markers", "paper_experiment(name): reproduces a paper artefact")
 
 
+def pytest_sessionstart(session):
+    _STAMPS.clear()
+    _STAMPS.update(_bench_stamps())
+
+
 def pytest_sessionfinish(session, exitstatus):
-    """Feed fresh bench payloads into the regression-gate trajectory."""
+    """Feed the payloads this session wrote into the regression-gate
+    trajectory."""
     if exitstatus != 0 or not RESULTS_DIR.is_dir():
         return
     from repro.obs.baseline import (TRAJECTORY_NAME, append_trajectory,
                                     bench_name, ingest_payload)
 
     records = []
-    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
+    for name, stamp in sorted(_bench_stamps().items()):
+        if _STAMPS.get(name) == stamp:
+            continue
+        path = RESULTS_DIR / name
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):

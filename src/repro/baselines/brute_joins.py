@@ -1,8 +1,8 @@
 """Exact brute-force references for the predicate joins.
 
 The correctness oracles for :mod:`repro.core.joins`: all pairwise
-distances are computed directly (same sqrt-of-squared-diffs form as
-:mod:`repro.baselines.brute_force`, so the TI engines match them
+distances are computed by :func:`~repro.core.bounds.pair_distances`
+(the form every engine answers in, so the TI engines match them
 bit-for-bit in float64) and the predicate is applied to the full
 distance matrix.  Registered as the ``range-join-brute`` and
 ``rknn-brute`` engines so the CLI's ``--check`` and ``compare`` paths
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.bounds import pair_distances
 from ..core.result import JoinStats, RangeResult
 from ..engine.base import EngineCaps, EngineSpec
 
@@ -22,8 +23,10 @@ _CHUNK_ROWS = 512
 
 
 def _distance_block(queries, targets, start, stop):
-    diff = queries[start:stop, None, :] - targets[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n_t = len(targets)
+    rows = np.repeat(np.arange(start, stop), n_t)
+    cols = np.tile(np.arange(n_t), stop - start)
+    return pair_distances(queries, targets, rows, cols).reshape(-1, n_t)
 
 
 def _pack_rows(block, thresholds, row_offset, rows_out, skip_self=False):

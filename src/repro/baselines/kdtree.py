@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.bounds import pair_distances
+from ..core.filters import BOUND_COMPARISON_RTOL
 from ..core.result import JoinStats, KNNResult
 from ..engine.base import EngineSpec
 from ..kselect import KNearestHeap
@@ -21,6 +23,10 @@ from ..kselect import KNearestHeap
 __all__ = ["KDTree", "kdtree_knn", "ENGINE"]
 
 _LEAF_SIZE = 16
+#: Absolute slack of the far-side test: a squared coordinate gap below
+#: 2**-1074 underflows to 0, so a point's computed distance can be
+#: 0 while its plane gap is up to about 2**-537.
+_UNDERFLOW = 2.0 ** -500
 
 
 class _Node:
@@ -74,19 +80,23 @@ class KDTree:
 
     def _descend(self, node, point, heap):
         if node.is_leaf:
-            diffs = self.points[node.indices] - point
-            dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            dists = pair_distances(point[None, :], self.points,
+                                   np.zeros(node.indices.size, np.int64),
+                                   node.indices)
             self.distance_computations += int(dists.size)
-            for dist, idx in zip(dists, node.indices):
+            for dist, idx in zip(dists.tolist(), node.indices.tolist()):
                 heap.push(dist, idx)
             return
         delta = point[node.axis] - node.threshold
         near, far = ((node.left, node.right) if delta < 0
                      else (node.right, node.left))
         self._descend(near, point, heap)
-        # Prune the far side when the splitting plane is beyond the
-        # current k-th distance (or the heap is not yet full).
-        if not heap.full or abs(delta) < heap.max_distance:
+        # Prune the far side only when the splitting plane lies beyond
+        # the current k-th distance: a far point at exactly that
+        # distance may still win its tie by index, and the slack covers
+        # the rounding and underflow of the point's computed distance.
+        if not heap.full or abs(delta) <= heap.max_distance * (
+                1.0 + BOUND_COMPARISON_RTOL) + _UNDERFLOW:
             self._descend(far, point, heap)
 
 

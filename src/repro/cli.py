@@ -387,8 +387,12 @@ def _resolve_auto(args, out):
 
     The decision is made from the same shape the command is about to
     load, so the printed choice is exactly what the run will execute.
+    ``args.method`` becomes the engine, for the engine's knobs, while
+    the join itself still asks for ``auto`` (:func:`_join_method`), so
+    its ``Decision`` record says the engine was not pinned.
     """
-    if getattr(args, "method", None) != "auto":
+    args.auto = getattr(args, "method", None) == "auto"
+    if not args.auto:
         return 0
     from . import sched
 
@@ -403,6 +407,12 @@ def _resolve_auto(args, out):
     args.method = decision.engine
     out.write("auto -> %s (%s)\n" % (decision.engine, decision.reason))
     return 0
+
+
+def _join_method(args):
+    """The ``method`` a command's join asks for: ``auto`` when the user
+    asked for it (see :func:`_resolve_auto`)."""
+    return "auto" if args.auto else args.method
 
 
 def _eps_arg(parser):
@@ -616,7 +626,7 @@ def cmd_run(args, out):
                            query_batch_size=args.query_batch_size)
         name = "%s -> index %s" % (name, args.index_dir)
     else:
-        result = knn_join(points, points, args.k, method=args.method,
+        result = knn_join(points, points, args.k, method=_join_method(args),
                           seed=args.seed,
                           device=device if spec.caps.needs_device else None,
                           query_batch_size=args.query_batch_size,
@@ -921,7 +931,7 @@ def cmd_plan(args, out):
         return code
     points, device, name = _load_points(args)
     spec = get_engine(args.method)
-    exec_plan = plan_join(points, points, args.k, method=args.method,
+    exec_plan = plan_join(points, points, args.k, method=_join_method(args),
                           device=device if spec.caps.needs_device else None,
                           workers=args.workers, pool=args.pool)
     out.write("execution plan for %s (method=%s):\n" % (name, args.method))
@@ -1135,7 +1145,7 @@ def cmd_explain(args, out):
     if code:
         return code
     points, device, name = _load_points(args)
-    result = knn_join(points, points, args.k, method=args.method,
+    result = knn_join(points, points, args.k, method=_join_method(args),
                       seed=args.seed,
                       device=device if spec.caps.needs_device else None,
                       workers=args.workers, pool=args.pool,

@@ -15,9 +15,14 @@ overlap); it is still a valid lower bound since distances are
 non-negative.  All functions accept scalars or numpy arrays and
 broadcast.
 
-:func:`nearest_columns` is the one "k nearest" routine of Step 1 and of
-``brute``: a GEMM-form shortlist, widened by a forward-error bound
-(derived in ``docs/INDEX.md``), re-ranked in the direct form.
+:func:`pair_distances` is the one distance form of every answer: each
+distance an exact engine returns or ranks is the ``sqrt`` of the dot
+product of ``t - q`` with itself (:func:`euclidean` is its one-pair
+twin, bit for bit).  :func:`pairwise_distances` (an ``einsum``) only
+feeds bounds.  :func:`nearest_columns` is the one "k nearest" routine
+of Step 1 and of ``brute``: a GEMM-form shortlist, widened by a
+forward-error bound (derived in ``docs/INDEX.md``), re-ranked by
+:func:`pair_distances` and ordered by (distance, index).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "euclidean", "euclidean_many", "pairwise_distances",
+    "euclidean", "euclidean_many", "pairwise_distances", "pair_distances",
     "expanded_sq_distances", "nearest_columns", "masked_nearest_columns",
     "lb_one_landmark", "ub_one_landmark",
     "lb_two_landmarks", "ub_two_landmarks",
@@ -34,7 +39,12 @@ __all__ = [
 
 
 def euclidean(a, b):
-    """Euclidean distance between two points (1-D arrays)."""
+    """Euclidean distance between two points (1-D arrays).
+
+    The one-pair form of :func:`pair_distances`, bit for bit: the same
+    difference (negated, which squares to the same bits) through the
+    same BLAS dot product.
+    """
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.sqrt(np.dot(diff, diff)))
 
@@ -52,7 +62,9 @@ def euclidean_many(points, point):
 
 
 def pairwise_distances(a, b):
-    """Dense |A| x |B| Euclidean distance matrix (direct form)."""
+    """Dense |A| x |B| Euclidean distance matrix in the ``einsum``
+    form, for bounds only (centre distances, the landmark pick): an
+    answer's distances come from :func:`pair_distances`."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     diff = a[:, None, :] - b[None, :, :]
@@ -69,10 +81,10 @@ _DIM_LIMIT = 2 ** 25
 #: included: the smallest normal float64.
 _TINY = 2.0 ** -1022
 #: Elements in one block of the expanded matrix, and in one block of
-#: direct-form differences (16 MB each).
+#: pair differences (16 MB each).
 _BLOCK_ELEMS = 2 ** 21
-#: At most this many |A| x |B| x d elements, the direct form costs less
-#: than the GEMM shortlist's fixed numpy overhead.
+#: At most this many |A| x |B| x d elements, ranking every pair costs
+#: less than the GEMM shortlist's fixed numpy overhead.
 _DIRECT_MAX_ELEMS = 2 ** 15
 
 
@@ -116,8 +128,9 @@ def expanded_sq_distances(a, b):
 
     Returns ``(g, err)``: the |A| x |B| matrix ‖a‖² + ‖b‖² − 2a·b and
     per-row ``err`` with ``|g - direct²| <= err[:, None]``, where
-    ``direct²`` is the squared distance :func:`pairwise_distances`
-    takes the root of.  ``(None, None)`` when the bound cannot be
+    ``direct²`` is the squared distance :func:`pair_distances` or
+    :func:`pairwise_distances` takes the root of (the bound holds for
+    any summation order).  ``(None, None)`` when the bound cannot be
     trusted (non-finite norms, or norms near overflow).
     """
     a = np.asarray(a, dtype=np.float64)
@@ -131,17 +144,16 @@ def expanded_sq_distances(a, b):
 
 
 def nearest_columns(a, b, k):
-    """Each row of ``a``'s ``k`` nearest rows of ``b``, as the direct
-    form ranks them.
+    """Each row of ``a``'s ``k`` nearest rows of ``b``.
 
     Returns ``(distances, indices)``, both ``(|A|, k)``, each row
     ordered by (distance, index); every distance is bit-equal to the
-    matching :func:`pairwise_distances` entry.  One GEMM per row block
+    matching :func:`pair_distances` entry.  One GEMM per row block
     gives the expanded squared distances ``ĝ``; a pair survives when
     ``ĝ`` is within the error bound of the row's k-th smallest, and
-    only survivors are re-ranked in the direct form.  When the bound
-    cannot be trusted, ``k = |B|``, or the problem is too small for the
-    GEMM to pay, every pair survives: the re-rank *is* the direct form.
+    only survivors are re-ranked by :func:`pair_distances`.  When the
+    bound cannot be trusted, ``k = |B|``, or the problem is too small
+    for the GEMM to pay, every pair survives.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -150,69 +162,61 @@ def nearest_columns(a, b, k):
     k = int(k)
     if not 1 <= k <= n_b:
         raise ValueError("k must be in [1, %d]" % n_b)
-    shortlist = k < n_b and n_a * n_b * dim > _DIRECT_MAX_ELEMS
-    if shortlist:
+    a_sq = b_sq = None
+    if k < n_b and n_a * n_b * dim > _DIRECT_MAX_ELEMS:
         a_sq = _sq_norms(a)
         b_sq = _sq_norms(b)
-        shortlist = _expansion_trusted(a_sq, b_sq, dim)
-    if not shortlist:
-        distances = np.empty((n_a, k), dtype=np.float64)
-        indices = np.empty((n_a, k), dtype=np.int64)
-        block = max(1, _BLOCK_ELEMS // max(1, n_b * dim))
-        for start in range(0, n_a, block):
-            stop = min(start + block, n_a)
-            dense = pairwise_distances(a[start:stop], b)
-            take = np.argsort(dense, axis=1, kind="stable")[:, :k]
-            distances[start:stop] = dense[np.arange(stop - start)[:, None],
-                                          take]
-            indices[start:stop] = take
-        return distances, indices
-
+        if not _expansion_trusted(a_sq, b_sq, dim):
+            a_sq = b_sq = None
     return _shortlist(a, a_sq, b, b_sq, k)[:2]
 
 
-def masked_nearest_columns(a, b, k, b_sq, allowed, pair_distances):
+def masked_nearest_columns(a, b, k, b_sq, allowed):
     """:func:`nearest_columns` over the ``allowed`` pairs only.
 
-    ``b_sq`` are ``b``'s squared norms (cached by the caller),
+    ``b_sq`` are ``b``'s squared norms (cached by the caller), and
     ``allowed`` is an ``(|A|, |B|)`` boolean mask with at least ``k``
-    true entries per row, and ``pair_distances(a, b, rows, cols)`` is
-    the direct form the survivors are re-ranked in.  Rows the error
-    bound does not cover (see :func:`expanded_sq_distances`) re-rank
-    every allowed pair, so the result is exact for any finite input.
+    true entries per row.  Rows the error bound does not cover (see
+    :func:`expanded_sq_distances`) re-rank every allowed pair, so the
+    result is exact for any finite input.
 
     Returns ``(distances, indices, reranked)``: the ``(|A|, k)`` pairs
     ordered by (distance, index), and the number of re-ranked pairs.
     """
     a = np.asarray(a, dtype=np.float64)
-    return _shortlist(a, _sq_norms(a), b, b_sq, int(k), allowed,
-                      pair_distances)
+    return _shortlist(a, _sq_norms(a), b, b_sq, int(k), allowed)
 
 
-def _shortlist(a, a_sq, b, b_sq, k, allowed=None, pair_distances=None):
+def _shortlist(a, a_sq, b, b_sq, k, allowed=None):
     """The GEMM shortlist and its re-rank; ``(distances, indices,
-    reranked)``."""
-    pair_distances = pair_distances or _direct_pairs
+    reranked)``.  Without norms (``a_sq is None``) every allowed pair
+    is re-ranked."""
     n_a, dim = a.shape
     n_b = b.shape[0]
-    b_max = b_sq.max()
-    err = _expansion_error(a_sq, b_max, dim)
-    loose = ~(np.isfinite(a_sq) & (a_sq <= _SQ_NORM_LIMIT)) | (
-        not (b_max <= _SQ_NORM_LIMIT and dim < _DIM_LIMIT))
+    if a_sq is not None:
+        b_max = b_sq.max()
+        err = _expansion_error(a_sq, b_max, dim)
+        loose = ~(np.isfinite(a_sq) & (a_sq <= _SQ_NORM_LIMIT)) | (
+            not (b_max <= _SQ_NORM_LIMIT and dim < _DIM_LIMIT))
     distances = np.empty((n_a, k), dtype=np.float64)
     indices = np.empty((n_a, k), dtype=np.int64)
     reranked = 0
     block = max(1, _BLOCK_ELEMS // n_b)
     for start in range(0, n_a, block):
         stop = min(start + block, n_a)
-        g = _expanded_block(a[start:stop], a_sq[start:stop], b, b_sq)
         mask = None if allowed is None else allowed[start:stop]
-        if mask is not None:
-            g[~mask] = np.inf
-        kth = (g.min(axis=1) if k == 1
-               else np.partition(g, k - 1, axis=1)[:, k - 1])
-        cutoff = (kth + 2.0 * err[start:stop]) * (1.0 + 8.0 * _EPS)
-        rows, cols = _survivors(g, cutoff, loose[start:stop], mask)
+        if a_sq is None:
+            keep = (np.ones((stop - start, n_b), dtype=bool) if mask is None
+                    else mask)
+            rows, cols = np.divmod(np.flatnonzero(keep), n_b)
+        else:
+            g = _expanded_block(a[start:stop], a_sq[start:stop], b, b_sq)
+            if mask is not None:
+                g[~mask] = np.inf
+            kth = (g.min(axis=1) if k == 1
+                   else np.partition(g, k - 1, axis=1)[:, k - 1])
+            cutoff = (kth + 2.0 * err[start:stop]) * (1.0 + 8.0 * _EPS)
+            rows, cols = _survivors(g, cutoff, loose[start:stop], mask)
         dists = pair_distances(a[start:stop], b, rows, cols)
         reranked += rows.size
         # Stable, and ``cols`` ascend within a row: ties keep index order.
@@ -233,14 +237,23 @@ def _survivors(g, cutoff, loose, mask):
     return np.divmod(np.flatnonzero(keep), g.shape[1])
 
 
-def _direct_pairs(a, b, rows, cols):
-    """Direct-form distances of the pairs ``(a[rows], b[cols])``."""
+def pair_distances(a, b, rows, cols):
+    """Distances of the pairs ``(a[rows], b[cols])``: the one form of
+    every distance an engine returns or ranks.
+
+    Each is ``sqrt`` of the dot product of ``b[col] - a[row]`` with
+    itself, through the same BLAS dot as :func:`euclidean` and the C
+    kernel's ``ddot`` (the stacked ``(1, d) @ (d, 1)`` matmul reduces
+    through it), so all three agree bit for bit.
+    """
     out = np.empty(rows.size, dtype=np.float64)
-    step = max(1, _BLOCK_ELEMS // max(1, a.shape[1]))
+    step = max(1, _BLOCK_ELEMS // max(1, b.shape[1]))
     for start in range(0, rows.size, step):
         stop = min(start + step, rows.size)
-        diff = a[rows[start:stop]] - b[cols[start:stop]]
-        out[start:stop] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        diffs = b[cols[start:stop]]
+        diffs -= a[rows[start:stop]]
+        out[start:stop] = np.sqrt(
+            (diffs[:, None, :] @ diffs[:, :, None]).ravel())
     return out
 
 

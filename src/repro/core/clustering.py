@@ -132,10 +132,9 @@ def cluster_points(points, center_indices, sort_descending=False):
     m = centers.shape[0]
 
     if n == 1 and m == 1:
-        # A lone point is its own landmark (a one-row serving batch):
-        # the direct form nearest_columns runs for k = |B|, without its
-        # selection machinery.
-        dist_to_center = pairwise_distances(points, centers)[:, 0]
+        # A lone point is its own landmark (a one-row serving batch),
+        # at distance 0 in any form.
+        dist_to_center = np.zeros(1, dtype=np.float64)
         assignment = np.zeros(1, dtype=np.int64)
     else:
         # The (distance, index) order is argmin's first-minimum rule.

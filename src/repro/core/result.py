@@ -218,13 +218,10 @@ class KNNResult:
 
         Indices are allowed to differ on exact distance ties, so the
         comparison is on the sorted distance rows.  This is the loose
-        *cross-method* comparator: its absolute tolerance absorbs the
-        GEMM-formulation cancellation of the CUBLAS-style baseline,
-        whose computed ``sqrt(|q|^2+|t|^2-2qt)`` carries an absolute
-        error around ``|q| * sqrt(d * eps)`` — up to ~1e-3 on the
-        large-norm, high-dimensional stand-ins.  Exactness of the TI
-        methods themselves is asserted against brute force at 1e-9 in
-        the test suite.
+        *cross-method* comparator, for approximate or user-registered
+        engines; every bundled exact engine equals ``brute`` bit for
+        bit, ids included, which the test suite asserts with
+        ``np.array_equal``.
         """
         return np.allclose(self.distances, other.distances,
                            rtol=rtol, atol=atol)

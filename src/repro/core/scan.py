@@ -46,6 +46,7 @@ import math
 import numpy as np
 
 from ..gpu.lanelog import LaneLog
+from .bounds import pair_distances
 from .filters import ScanTrace, bound_comparison_tol
 from .layout import point_load_transactions
 from .predicates import CollectAccumulator, TopKAccumulator
@@ -235,8 +236,8 @@ def _scan_cluster_full(lb, member_idx, points, qp, acc, log, trace,
         stop = int(np.searchsorted(lb, limit, side="right"))
         window_end = min(stop, pos + _WINDOW, size)
         w_idx = member_idx[pos:window_end]
-        diffs = points[w_idx] - qp
-        w_dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        w_dists = pair_distances(qp[None, :], points,
+                                 np.zeros(w_idx.size, np.int64), w_idx)
         for j in range(pos, window_end):
             limit = acc.limit() + tol
             value = lb[j]
@@ -283,8 +284,8 @@ def _scan_cluster_partial(lb, member_idx, points, qp, acc, log, trace,
     count = stop - skip_end
     if count > 0:
         w_idx = member_idx[skip_end:stop]
-        diffs = points[w_idx] - qp
-        w_dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        w_dists = pair_distances(qp[None, :], points,
+                                 np.zeros(w_idx.size, np.int64), w_idx)
         acc.bulk(w_dists.tolist(), w_idx.tolist())
         trace.steps += count
         trace.examined += count

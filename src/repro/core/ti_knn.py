@@ -24,8 +24,7 @@ import numpy as np
 from ..engine.base import EngineCaps, EngineSpec
 from .clustering import center_distances, cluster_points
 from .filters import (SCAN_COUNTERS, center_distance_rows,
-                      point_filter_full, point_filter_partial,
-                      trace_counters)
+                      point_filter_full, trace_counters)
 from .landmarks import determine_landmark_count, select_landmarks_random_spread
 from .predicates import TopKPredicate
 from .result import JoinStats, KNNResult
@@ -184,24 +183,18 @@ class Level2:
 
 
 class TopKScan(Level2):
-    """Top-k level 2, interpreted (``ti-cpu``; the counter reference).
-
-    ``filter_strength`` picks Algorithm 2's updating θ
-    (:func:`~repro.core.filters.point_filter_full`) or Sweet KNN's
-    partial filter (:func:`~repro.core.filters.point_filter_partial`).
-    Its result columns are ``dists`` and ``idx``, ``(n, k)`` arrays
-    padded with ``inf`` / -1.
+    """Top-k level 2, interpreted (``ti-cpu``; the counter reference):
+    Algorithm 2's updating θ
+    (:func:`~repro.core.filters.point_filter_full`).  Its result
+    columns are ``dists`` and ``idx``, ``(n, k)`` arrays padded with
+    ``inf`` / -1.
     """
 
-    label = "ti-knn-cpu"
+    method = "ti-knn-cpu/full"
 
-    def __init__(self, k, filter_strength="full"):
+    def __init__(self, k):
         self.predicate = TopKPredicate(k)
         self.k = self.predicate.k
-        if filter_strength not in ("full", "partial"):
-            raise ValueError("filter_strength must be 'full' or 'partial'")
-        self.full = filter_strength == "full"
-        self.method = "%s/%s" % (self.label, filter_strength)
 
     def columns(self, n):
         return (np.full((n, self.k), np.inf),
@@ -215,15 +208,10 @@ class TopKScan(Level2):
             dists, idx = self.columns(scanned.size)
             traces = []
             for i, q in enumerate(scanned):
-                if self.full:
-                    heap, trace = point_filter_full(
-                        queries[q], q, ct, cand, ub, k,
-                        center_dists_row=rows[i])
-                    d, t = heap.sorted_items()
-                else:
-                    d, t, trace = point_filter_partial(
-                        queries[q], q, ct, cand, ub, k,
-                        center_dists_row=rows[i])
+                heap, trace = point_filter_full(
+                    queries[q], q, ct, cand, ub, k,
+                    center_dists_row=rows[i])
+                d, t = heap.sorted_items()
                 dists[i, :d.size] = d
                 idx[i, :t.size] = t
                 traces.append(trace)
@@ -237,8 +225,7 @@ class TopKScan(Level2):
 
 
 def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
-                filter_strength="full", query_subset=None,
-                account_prepare=True, level2=None):
+                query_subset=None, account_prepare=True, level2=None):
     """Sequential TI-based KNN join (the full Fig. 4 pipeline).
 
     The one driver of every host TI join: the reference and flat top-k
@@ -257,10 +244,6 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
         Optional landmark-count overrides.
     plan:
         Optional pre-built :class:`JoinPlan` (skips Step 1).
-    filter_strength:
-        ``"full"`` (Algorithm 2) or ``"partial"`` (Sweet KNN's weakened
-        level-2 filter) — exposed here so the filter designs can be
-        compared independently of the GPU machinery.
     query_subset:
         Optional array of query indices to scan (batched execution
         against a shared ``plan``); result rows follow subset order.
@@ -269,9 +252,8 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
         Batched execution sets this on the first tile only so merged
         counters equal the unbatched totals.
     level2:
-        Optional :class:`Level2` stage; defaults to
-        ``TopKScan(k, filter_strength)``.  A given stage carries its
-        own ``k`` and filter.
+        Optional :class:`Level2` stage; defaults to ``TopKScan(k)``.
+        A given stage carries its own ``k``.
 
     Returns
     -------
@@ -282,7 +264,7 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
     queries = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if level2 is None:
-        level2 = TopKScan(k, filter_strength)
+        level2 = TopKScan(k)
     if level2.k > len(targets):
         raise ValueError("k cannot exceed the number of target points")
 
@@ -353,12 +335,11 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
 # ----------------------------------------------------------------------
 # Engine registration (see repro.engine)
 # ----------------------------------------------------------------------
-def _run_engine(queries, targets, k, ctx, filter_strength="full",
-                **options):
+def _run_engine(queries, targets, k, ctx, **options):
     return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
                        query_subset=ctx.query_subset,
                        account_prepare=ctx.account_prepare,
-                       level2=TopKScan(k, filter_strength), **options)
+                       level2=TopKScan(k), **options)
 
 
 ENGINE = EngineSpec(

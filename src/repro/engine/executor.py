@@ -107,7 +107,7 @@ def execute(spec, queries, targets, k, rng=None, device=None,
         spans_before = len(tracer.finished_spans()) if explain else 0
         if decision is None:
             decision = _resolve_decision(spec, queries, targets, k,
-                                         workers, pool, options)
+                                         workers, pool)
         with obs.span("engine.execute", engine=spec.name,
                       n_queries=int(n_q), n_targets=int(len(targets)),
                       k=int(k)) as sp:
@@ -141,14 +141,13 @@ def execute(spec, queries, targets, k, rng=None, device=None,
         return result
 
 
-def _resolve_decision(spec, queries, targets, k, workers, pool, options):
+def _resolve_decision(spec, queries, targets, k, workers, pool):
     """The pinned-engine scheduling decision for a direct ``execute``."""
     from ..sched import decide
 
     return decide(len(queries), len(targets), int(k),
                   int(np.asarray(queries).shape[1]), method=spec.name,
-                  workers=workers, pool=pool,
-                  filter_strength=options.get("filter_strength"))
+                  workers=workers, pool=pool)
 
 
 def _assemble_audit(spec, result, device, options, spans):

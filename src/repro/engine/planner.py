@@ -195,8 +195,7 @@ def _plan_shape(n_queries, n_targets, k, dim, method="sweet", device=None,
     from .registry import get_engine
 
     decision = sched_decide(n_queries, n_targets, k, dim, method=method,
-                            workers=workers, pool=pool,
-                            filter_strength=overrides.get("filter_strength"))
+                            workers=workers, pool=pool)
     method = decision.engine
     spec = get_engine(method)
     caps = spec.caps

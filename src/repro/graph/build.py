@@ -29,13 +29,13 @@ values — so two builds of the same index state produce byte-identical
 graph directories.
 
 The initial graph is **bootstrapped from the exact TI engine** on a
-sampled subset of nodes (:func:`repro.core.ti_knn.ti_knn_join` against
-the prepared index), seeding NN-descent with exact edges where the
-exact engine is affordable; the remaining nodes start from random
-edges.  Convergence is declared when an iteration changes at most
-``delta * m * graph_k`` list entries; per-iteration update counts are
-recorded through :mod:`repro.obs` (``graph.iteration`` events) and on
-the returned :class:`KNNGraph`.
+sampled subset of nodes (:func:`repro.core.ti_knn.ti_knn_join` with
+the flat tier's stage against the prepared index), seeding NN-descent
+with exact edges where the exact engine is affordable; the remaining
+nodes start from random edges.  Convergence is declared when an
+iteration changes at most ``delta * m * graph_k`` list entries;
+per-iteration update counts are recorded through :mod:`repro.obs`
+(``graph.iteration`` events) and on the returned :class:`KNNGraph`.
 """
 
 from __future__ import annotations
@@ -421,18 +421,19 @@ def _entry_points(index, node_ids, points):
 def _bootstrap_exact(index, points, node_ids, sample_positions, kg, rng):
     """Exact TI neighbours for the sampled nodes, as graph positions.
 
-    Runs the Fig.-4 reference engine against the prepared index (the
-    tombstone-aware member lists exclude dead rows), then maps the
-    global row ids back to node positions.
+    Runs the flat tier's stage against the prepared index (the
+    tombstone-aware layout excludes dead rows), then maps the global
+    row ids back to node positions.
     """
     from ..core.ti_knn import ti_knn_join
+    from ..native.engine import FlatScan
 
     m = len(node_ids)
     k_exact = min(kg + 1, m)
     sample_points = np.ascontiguousarray(points[sample_positions])
     plan = index.join_plan(sample_points, rng=rng)
     result = ti_knn_join(sample_points, np.asarray(index.targets), k_exact,
-                         rng, plan=plan)
+                         rng, plan=plan, level2=FlatScan(k_exact))
     positions = np.searchsorted(node_ids, result.indices)
     # Self edges out, best kg of the rest in (a duplicate-heavy set may
     # keep the self row out of its own top list, hence the explicit

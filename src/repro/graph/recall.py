@@ -144,14 +144,16 @@ def calibrate(graph, index, k=10, ef_grid=DEFAULT_EF_GRID, n_probe=64,
               attach=True):
     """Measure the graph's recall@k curve against the exact TI engine.
 
-    Runs the Fig.-4 reference (:func:`repro.core.ti_knn.ti_knn_join`)
-    on a deterministic probe set for ground truth, then the graph walk
+    Runs the exact flat tier (:func:`repro.core.ti_knn.ti_knn_join`
+    with :class:`~repro.native.engine.FlatScan`) on a deterministic
+    probe set for ground truth, then the graph walk
     at every ``ef`` in the grid.  Returns the :class:`RecallCurve`
     (attached to ``graph.calibration`` unless ``attach=False`` — the
     curve is persisted with the graph and drives
     ``KNNServer(recall_target=...)`` routing).
     """
     from ..core.ti_knn import ti_knn_join
+    from ..native.engine import FlatScan
 
     k = int(k)
     if k < 1:
@@ -161,8 +163,9 @@ def calibrate(graph, index, k=10, ef_grid=DEFAULT_EF_GRID, n_probe=64,
         [int(graph.seed) & (2 ** 63 - 1),
          int(graph.fingerprint[:16], 16), 0xE5AC]))
     plan = index.join_plan(probes, rng=rng)
-    exact = ti_knn_join(probes, np.asarray(index.targets),
-                        min(k, index.n_active), rng, plan=plan)
+    k_exact = min(k, index.n_active)
+    exact = ti_knn_join(probes, np.asarray(index.targets), k_exact, rng,
+                        plan=plan, level2=FlatScan(k_exact))
 
     dead = index.tombstones if index.n_tombstones else None
     entries = []

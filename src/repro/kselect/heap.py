@@ -6,16 +6,53 @@ distance (the filtering bound ``theta``).  Inserting a closer neighbour
 evicts the root, exactly the "evict kNearests.max, and put q2t into
 kNearests" step of Algorithm 2 line 16.
 
-The heap stores ``(distance, index)`` pairs; slots not yet filled with a
-real neighbour hold ``(inf, -1)`` so ``max_distance`` is usable as a
-bound from the first insertion attempt.
+The heap stores ``(distance, index)`` pairs, ordered by distance and
+then index, so the k pairs it keeps and their output order are those
+of sorting every offered pair by (distance, index): a tie across the
+k-th place goes to the lower index, as in ``brute``.  Slots not yet
+filled with a real neighbour hold ``(bound, -1)`` (``bound`` defaults
+to ``inf``) so ``max_distance`` is usable as a bound from the first
+insertion attempt; a pair at exactly ``bound`` is not kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KNearestHeap"]
+__all__ = ["KNearestHeap", "replace_root", "sorted_pairs"]
+
+
+def replace_root(dists, idx, distance, index):
+    """Sift ``(distance, index)`` down from the root of the max-heap
+    ``dists``/``idx`` (numpy arrays, or plain lists for the flat scans'
+    cheaper item access), by (distance, index)."""
+    pos = 0
+    k = len(dists)
+    while True:
+        child = 2 * pos + 1
+        if child >= k:
+            break
+        right = child + 1
+        if right < k and (dists[right] > dists[child] or (
+                dists[right] == dists[child] and idx[right] > idx[child])):
+            child = right
+        top = dists[child]
+        if top < distance or (top == distance and idx[child] < index):
+            break
+        dists[pos] = top
+        idx[pos] = idx[child]
+        pos = child
+    dists[pos] = distance
+    idx[pos] = index
+
+
+def sorted_pairs(dists, idx):
+    """A heap's neighbours in (distance, index) order, bound-only slots
+    (index -1) excluded."""
+    mask = idx >= 0
+    dists, idx = dists[mask], idx[mask]
+    order = np.lexsort((idx, dists))
+    return dists[order], idx[order]
 
 
 class KNearestHeap:
@@ -47,57 +84,42 @@ class KNearestHeap:
         return self._count >= self.k
 
     def push(self, distance, index):
-        """Offer a neighbour; keep it only if it beats the current root.
+        """Offer a neighbour; keep it only if it precedes the current
+        root in (distance, index) order.
 
         Returns True when the neighbour was kept (the bound tightened
         or a free slot was filled).
         """
-        if distance >= self._dists[0]:
+        root = self._dists[0]
+        if distance > root or (distance == root
+                               and index >= self._idx[0]):
             return False
         if self._idx[0] == -1:
             self._count += 1
-        self._replace_root(distance, index)
+        replace_root(self._dists, self._idx, distance, index)
         return True
-
-    def _replace_root(self, distance, index):
-        dists, idx = self._dists, self._idx
-        dists[0] = distance
-        idx[0] = index
-        pos = 0
-        k = self.k
-        while True:
-            left = 2 * pos + 1
-            right = left + 1
-            largest = pos
-            if left < k and dists[left] > dists[largest]:
-                largest = left
-            if right < k and dists[right] > dists[largest]:
-                largest = right
-            if largest == pos:
-                break
-            dists[pos], dists[largest] = dists[largest], dists[pos]
-            idx[pos], idx[largest] = idx[largest], idx[pos]
-            pos = largest
 
     # ------------------------------------------------------------------
     def sorted_items(self):
-        """Neighbours as ``(distances, indices)`` sorted ascending.
+        """Neighbours as ``(distances, indices)`` in (distance, index)
+        order.
 
         Bound-only slots (no real neighbour inserted) are excluded.
         """
-        mask = self._idx >= 0
-        order = np.argsort(self._dists[mask], kind="stable")
-        return self._dists[mask][order], self._idx[mask][order]
+        return sorted_pairs(self._dists, self._idx)
 
     def raw(self):
         """The underlying ``(distances, indices)`` arrays (heap order)."""
         return self._dists, self._idx
 
     def check_invariant(self):
-        """True when every parent is >= its children (max-heap)."""
+        """True when no child follows its parent in (distance, index)
+        order (max-heap)."""
         for pos in range(self.k):
             for child in (2 * pos + 1, 2 * pos + 2):
-                if child < self.k and self._dists[child] > self._dists[pos]:
+                if child < self.k and (
+                        self._dists[child], self._idx[child]) > (
+                        self._dists[pos], self._idx[pos]):
                     return False
         return True
 

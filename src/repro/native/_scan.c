@@ -8,8 +8,8 @@
  *     own BLAS ddot, passed in as a function pointer;
  *   - the bound arithmetic is the same IEEE expressions, compiled with
  *     -ffp-contract=off so theta + tol is never fused;
- *   - the heap replays KNearestHeap's sift move for move, so the
- *     output keeps its tie order.
+ *   - the heap keeps KNearestHeap's (distance, index) order, so a tie
+ *     across the k-th place goes to the lower index, as in brute.
  *
  * Per query, out_d/out_i (k wide) hold the neighbours, ascending and
  * padded with INFINITY / -1, and counters (NCOUNT wide) hold the
@@ -32,36 +32,36 @@ typedef double (*ddot_fn)(i64 n, const double *x, i64 incx,
 enum { EXAMINED, DISTANCES, CENTER_DISTANCES, HEAP_UPDATES, ACCEPTED,
        BREAKS, STEPS, NCOUNT };
 
-static void swap(double *hd, i64 *hi, i64 a, i64 b)
+/* Whether (da, ia) follows (db, ib) in (distance, index) order. */
+static int after(double da, i64 ia, double db, i64 ib)
 {
-    double td = hd[a];
-    i64 ti = hi[a];
-    hd[a] = hd[b];
-    hi[a] = hi[b];
-    hd[b] = td;
-    hi[b] = ti;
+    return da > db || (da == db && ia > ib);
 }
 
-/* KNearestHeap._replace_root's sift: by distance, ties stay put. */
-static void sift_down(double *hd, i64 *hi, i64 n, i64 pos)
+/* repro.kselect.heap.replace_root: sift (dist, t) down from the root. */
+static void sift_down(double *hd, i64 *hi, i64 n, double dist, i64 t)
 {
+    i64 pos = 0;
     for (;;) {
-        i64 left = 2 * pos + 1, right = left + 1, top = pos;
-        if (left < n && hd[left] > hd[top])
-            top = left;
-        if (right < n && hd[right] > hd[top])
-            top = right;
-        if (top == pos)
-            return;
-        swap(hd, hi, pos, top);
-        pos = top;
+        i64 child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n
+                && after(hd[child + 1], hi[child + 1], hd[child], hi[child]))
+            child++;
+        if (!after(hd[child], hi[child], dist, t))
+            break;
+        hd[pos] = hd[child];
+        hi[pos] = hi[child];
+        pos = child;
     }
+    hd[pos] = dist;
+    hi[pos] = t;
 }
 
 /* KNearestHeap.sorted_items in place: drop the empty slots, then a
- * stable bottom-up merge sort by distance (heap-array order among
- * ties), through the k-long buffers td/ti; the slots past the
- * neighbours are padded. */
+ * bottom-up merge sort by (distance, index) through the k-long
+ * buffers td/ti; the slots past the neighbours are padded. */
 static void sort_heap(double *hd, i64 *hi, i64 k, double *td, i64 *ti)
 {
     i64 n = 0;
@@ -76,7 +76,8 @@ static void sort_heap(double *hd, i64 *hi, i64 k, double *td, i64 *ti)
             i64 mid = lo + w < n ? lo + w : n;
             i64 end = lo + 2 * w < n ? lo + 2 * w : n;
             for (i64 a = lo, b = mid, o = lo; o < end; o++) {
-                int left = b >= end || (a < mid && !(hd[b] < hd[a]));
+                int left = b >= end
+                    || (a < mid && after(hd[b], hi[b], hd[a], hi[a]));
                 i64 from = left ? a++ : b++;
                 td[o] = hd[from];
                 ti[o] = hi[from];
@@ -213,12 +214,10 @@ i64 scan(ddot_fn ddot, const double *points, i64 d,
                     diff[x] = tp[x] - q[x];
                 double dist = sqrt(ddot(d, diff, 1, diff, 1));
                 /* TopKAccumulator.offer: the limit changes only here. */
-                if (dist < hd[0]) {
+                if (after(hd[0], hi[0], dist, t)) {
                     if (hi[0] == -1)
                         n++;
-                    hd[0] = dist;
-                    hi[0] = t;
-                    sift_down(hd, hi, k, 0);
+                    sift_down(hd, hi, k, dist, t);
                     c[ACCEPTED]++;
                     if (n >= k)
                         theta = hd[0] < ub ? hd[0] : ub;

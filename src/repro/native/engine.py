@@ -81,9 +81,9 @@ _ACCEPTED = SCAN_COUNTERS.index("accepted")
 class DenseScan:
     """The dense level-2 route: one exact GEMM shortlist
     (:func:`~repro.core.bounds.masked_nearest_columns`) over every live
-    member of each query's candidate clusters, re-ranked in the flat
-    tier's distance form (:func:`~repro.native.scan_numpy.pair_distances`)
-    and ordered by (distance, index).
+    member of each query's candidate clusters, re-ranked by
+    :func:`~repro.core.bounds.pair_distances` (the scans' distance
+    form) and ordered by (distance, index).
 
     A query's candidates are the columns its centre-distance row holds
     (the others are NaN), so one call answers queries of any number of
@@ -112,7 +112,7 @@ class DenseScan:
             dists[start:stop], idx[start:stop], reranked = \
                 masked_nearest_columns(
                     points[start:stop], flat.points, k, flat.sq_norms,
-                    allowed, scan_numpy.pair_distances)
+                    allowed)
             self.reranked += reranked
             counters[start:stop, _RANKED] = \
                 np.where(is_cand, flat.sizes(), 0).sum(axis=1)[:, None]
@@ -150,9 +150,7 @@ class FlatScan(TopKScan):
     dense route for the queries its pick collected, whose rows it
     writes over the padding the TI blocks left."""
 
-    def __init__(self, k):
-        super().__init__(k)
-        self.method = "ti-flat/full"
+    method = "ti-flat/full"
 
     def scan(self, join, work):
         flat = flat_targets(join.plan.target_clusters)
@@ -188,10 +186,6 @@ class FlatScan(TopKScan):
 # Engine registration (see repro.engine.builtin)
 # ----------------------------------------------------------------------
 def _run(queries, targets, k, ctx, **options):
-    if "filter_strength" in options:
-        raise ValueError(
-            "ti-flat runs the full filter only and takes no "
-            "filter_strength option; ti-cpu runs both strengths")
     return ti_knn_join(queries, targets, k, ctx.rng, plan=ctx.plan,
                        query_subset=ctx.query_subset,
                        account_prepare=ctx.account_prepare,

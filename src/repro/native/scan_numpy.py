@@ -2,10 +2,10 @@
 
 This is Algorithm 2 over the :class:`~repro.native.layout.FlatTargets`
 CSR layout, with the top-k predicate specialized out of the
-accumulator protocol: the per-query heap is a pair of preallocated
-flat arrays mutated by an inline replica of
-:class:`repro.kselect.KNearestHeap`, and the updating bound θ is a
-local float.  :func:`scan` is the numpy twin of the C kernel
+accumulator protocol: the per-query heap is a pair of plain lists
+sifted by :class:`repro.kselect.KNearestHeap`'s own
+:func:`~repro.kselect.heap.replace_root`, and the updating bound θ is
+a local float.  :func:`scan` is the numpy twin of the C kernel
 (``_scan.c``): one call scans the active queries of one query cluster
 and returns their block (padded neighbour rows and the counter
 block in :data:`~repro.core.filters.SCAN_COUNTERS` order).
@@ -41,14 +41,10 @@ counters) to the sequential reference
 * the head test's vectors are the reference's scalar expressions
   applied elementwise (``q2tc - member_dists[0]`` and
   ``bound_comparison_tol``), so they hold the same bits;
-* window distances use the batched-matmul form
-  ``sqrt((diffs[:, None, :] @ diffs[:, :, None]).ravel())``, which is
-  elementwise bit-equal to the reference's per-pair
+* window distances come from :func:`repro.core.bounds.pair_distances`,
+  which is elementwise bit-equal to the reference's per-pair
   ``sqrt(np.dot(diff, diff))`` (both reduce through the same dot
-  kernel) — unlike ``einsum``, whose SIMD reduction order can differ
-  in the last ulp.  ``diffs`` is the gathered window minus the query,
-  in place (no second temporary): ``t - q`` is the exact negation of
-  the reference's ``q - t``, so the squares are the same bits;
+  kernel);
 * the pruning limit ``θ + tol`` is refreshed exactly when the
   accumulator state changes (a successful heap push), which is the
   hoisted form of the reference loop (see ``point_scan``) — identical
@@ -64,52 +60,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.bounds import pair_distances
 from ..core.filters import BOUND_COMPARISON_RTOL, SCAN_COUNTERS
+from ..kselect.heap import replace_root, sorted_pairs
 
-__all__ = ["scan", "heap_sorted_items", "dense_pick", "pair_distances"]
+__all__ = ["scan", "dense_pick"]
 
 #: Members whose exact distances are computed per vectorised batch
 #: (matches the simulated-GPU scan's window).
 _WINDOW = 64
-
-
-def heap_sorted_items(heap_dists, heap_idx):
-    """``KNearestHeap.sorted_items`` over flat heap arrays.
-
-    Bound-only slots (index -1) are excluded; ties keep heap-array
-    order (stable argsort), exactly the reference heap's output order.
-    """
-    mask = heap_idx >= 0
-    order = np.argsort(heap_dists[mask], kind="stable")
-    return heap_dists[mask][order], heap_idx[mask][order]
-
-
-def _heap_replace_root(heap_dists, heap_idx, distance, index):
-    """``KNearestHeap._replace_root`` over flat sequences (sift-down).
-
-    Operates on plain Python lists (the scan's working representation:
-    list item access is ~10x cheaper than numpy scalar indexing) but
-    replicates the reference sift move for move, so the final layout —
-    and therefore the tie order of ``sorted_items`` — is identical.
-    """
-    heap_dists[0] = distance
-    heap_idx[0] = index
-    pos = 0
-    k = len(heap_dists)
-    while True:
-        left = 2 * pos + 1
-        right = left + 1
-        largest = pos
-        if left < k and heap_dists[left] > heap_dists[largest]:
-            largest = left
-        if right < k and heap_dists[right] > heap_dists[largest]:
-            largest = right
-        if largest == pos:
-            break
-        heap_dists[pos], heap_dists[largest] = (heap_dists[largest],
-                                                heap_dists[pos])
-        heap_idx[pos], heap_idx[largest] = heap_idx[largest], heap_idx[pos]
-        pos = largest
+#: Row ids of a window's pairs: every pair is the query's.
+_FIRST_ROW = np.zeros(_WINDOW, dtype=np.int64)
 
 
 def scan(flat, points, rows, cand, ub, k, dense_min):
@@ -132,7 +93,7 @@ def scan(flat, points, rows, cand, ub, k, dense_min):
     for i in np.flatnonzero(~dense).tolist():
         heap_dists, heap_idx, counters[i] = _scan_query(
             flat, points[i], rows[i], cand, ub, k)
-        d, t = heap_sorted_items(heap_dists, heap_idx)
+        d, t = sorted_pairs(heap_dists, heap_idx)
         dists[i, :d.size] = d
         idx[i, :t.size] = t
     return dists, idx, counters, dense if dense.any() else None
@@ -151,8 +112,7 @@ def _scan_query(flat, query_point, row, cand, ub, k):
     member_idx = flat.member_idx
     member_dists = flat.member_dists
     offsets = flat.offsets
-    qp = query_point
-    replace_root = _heap_replace_root
+    qp = query_point[None, :]
     window = _WINDOW
 
     steps = 0
@@ -227,24 +187,24 @@ def _scan_query(flat, query_point, row, cand, ub, k):
                 if win_end > size:
                     win_end = size
                 w_idx_arr = member_idx[start + win_start:start + win_end]
-                diffs = points[w_idx_arr]
-                diffs -= qp
-                w_dists = np.sqrt(
-                    (diffs[:, None, :] @ diffs[:, :, None]).ravel()).tolist()
+                w_dists = pair_distances(
+                    qp, points, _FIRST_ROW[:w_idx_arr.size],
+                    w_idx_arr).tolist()
                 w_idx = w_idx_arr.tolist()
             steps += 1
             examined += 1
             dist = w_dists[pos - win_start]
-            # TopKAccumulator.offer, inlined: reject against the root,
-            # replace + sift on success, tighten θ once the heap holds
-            # k real neighbours.  The pruning limit is refreshed
-            # exactly here — the only point it can change (the hoisted
-            # point_scan form).
-            if dist < heap_dists[0]:
+            # TopKAccumulator.offer, inlined: reject against the root
+            # by (distance, index), replace + sift on success, tighten
+            # θ once the heap holds k real neighbours.  The pruning
+            # limit is refreshed exactly here — the only point it can
+            # change (the hoisted point_scan form).
+            t = w_idx[pos - win_start]
+            if dist < heap_dists[0] or (
+                    dist == heap_dists[0] and t < heap_idx[0]):
                 if heap_idx[0] == -1:
                     count += 1
-                replace_root(heap_dists, heap_idx, dist,
-                             w_idx[pos - win_start])
+                replace_root(heap_dists, heap_idx, dist, t)
                 accepted += 1
                 if count >= k:
                     theta = min(ub, heap_dists[0])
@@ -300,18 +260,3 @@ def dense_pick(flat, rows, cand, k, dense_min):
         picked[maybe] = (bound < np.inf) & (
             mass(lows[maybe], bound) >= dense_min)
     return picked
-
-
-def pair_distances(queries, points, rows, cols):
-    """Distances of the pairs ``(queries[rows], points[cols])`` in the
-    flat tier's form, bit-equal to the scans' (``sqrt`` of the ``t - q``
-    dot product)."""
-    out = np.empty(rows.size, dtype=np.float64)
-    step = max(1, 2 ** 21 // max(1, points.shape[1]))
-    for start in range(0, rows.size, step):
-        stop = min(start + step, rows.size)
-        diffs = points[cols[start:stop]]
-        diffs -= queries[rows[start:stop]]
-        out[start:stop] = np.sqrt(
-            (diffs[:, None, :] @ diffs[:, :, None]).ravel())
-    return out

@@ -63,27 +63,24 @@ class Decision:
         return info
 
 
-def _engine_filter_strength(name, k, dim, filter_strength):
+def _engine_filter_strength(name, k, dim):
     """The filter strength an engine runs at this shape.
 
-    The simulated Sweet engine runs the Fig. 8 rule; the sequential
-    reference runs the caller's ``filter_strength`` option (default
-    full); the flat tier and the basic KNN-TI port run the full
-    filter; dense engines have no filter knob.
+    The simulated Sweet engine runs the Fig. 8 rule; the host TI
+    engines and the basic KNN-TI port run the full filter; dense
+    engines have no filter knob.
     """
     from .core.adaptive import filter_strength_for
 
     if name == "sweet":
         return filter_strength_for(k, dim)
-    if name == "ti-cpu":
-        return filter_strength or "full"
-    if name in ("ti-flat", "ti-gpu"):
+    if name in ("ti-cpu", "ti-flat", "ti-gpu"):
         return "full"
     return None
 
 
 def decide(n_queries, n_targets, k, dim, method=None, workers=None,
-           pool=None, budget_rows=None, filter_strength=None):
+           pool=None, budget_rows=None):
     """Resolve one scheduling decision.
 
     Parameters
@@ -98,8 +95,6 @@ def decide(n_queries, n_targets, k, dim, method=None, workers=None,
     budget_rows:
         The device-memory row budget, when known, so the recorded
         shard split matches the shard planner's.
-    filter_strength:
-        The call's ``filter_strength`` option, which ``ti-cpu`` runs.
     """
     from .parallel.shard import plan_shards, resolve_pool_kind, \
         resolve_workers
@@ -114,8 +109,7 @@ def decide(n_queries, n_targets, k, dim, method=None, workers=None,
     rows = int(budget_rows) if budget_rows else int(n_queries)
     shard_plan = plan_shards(n_queries, rows, resolve_workers(workers),
                              kind=resolve_pool_kind(pool))
-    filter_strength = _engine_filter_strength(engine, k, dim,
-                                              filter_strength)
+    filter_strength = _engine_filter_strength(engine, k, dim)
     if filter_strength is not None:
         reason += "; filter=%s" % filter_strength
     return Decision(

@@ -15,8 +15,9 @@ class TestKDTree:
         tree = KDTree(clustered_points)
         ref = brute_force_knn(clustered_points, clustered_points, 7)
         for q in range(0, len(clustered_points), 23):
-            dists, _ = tree.query(clustered_points[q], 7)
-            np.testing.assert_allclose(dists, ref.distances[q], atol=1e-9)
+            dists, idx = tree.query(clustered_points[q], 7)
+            np.testing.assert_array_equal(idx, ref.indices[q])
+            np.testing.assert_array_equal(dists, ref.distances[q])
 
     def test_prunes_on_low_dim(self, rng):
         points = rng.normal(size=(2000, 2))
@@ -45,7 +46,8 @@ class TestKDTree:
     def test_join_matches_brute_force(self, uniform_points):
         ref = brute_force_knn(uniform_points, uniform_points, 6)
         res = kdtree_knn(uniform_points, uniform_points, 6)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_join_invalid_k(self, uniform_points):
         with pytest.raises(ValueError):
@@ -65,4 +67,5 @@ class TestKDTree:
         k = min(k, points.shape[0])
         ref = brute_force_knn(points, points, k)
         res = kdtree_knn(points, points, k)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-8)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)

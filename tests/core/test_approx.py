@@ -23,8 +23,8 @@ class TestApproximateMode:
         points, oracle = data
         res = knn_join(points, points, 8, method="sweet", seed=0,
                        epsilon=0.0)
-        np.testing.assert_allclose(res.distances, oracle.distances,
-                                   atol=1e-9)
+        np.testing.assert_array_equal(res.indices, oracle.indices)
+        np.testing.assert_array_equal(res.distances, oracle.distances)
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 1.0])
     def test_kth_distance_guarantee(self, data, eps):

@@ -64,5 +64,5 @@ class TestFilterStrengthTradeoff:
                            method="sweet", seed=0,
                            **({} if force is None
                               else {"force_filter": force}))
-            np.testing.assert_allclose(res.distances, oracle.distances,
-                                       atol=1e-9)
+            np.testing.assert_array_equal(res.indices, oracle.indices)
+            np.testing.assert_array_equal(res.distances, oracle.distances)

@@ -116,10 +116,11 @@ class TestPointFilters:
             out = filter_fn(clustered_points[q], q, ct, cand, ubs[qc], k,
                             center_dists_row=row)
             if filter_fn is point_filter_full:
-                dists, _ = out[0].sorted_items()
+                dists, idx = out[0].sorted_items()
             else:
-                dists = out[0]
-            np.testing.assert_allclose(dists, ref.distances[q], atol=1e-9)
+                dists, idx = out[:2]
+            np.testing.assert_array_equal(idx, ref.indices[q])
+            np.testing.assert_array_equal(dists, ref.distances[q])
 
     def test_partial_computes_at_least_full(self, clustered_points):
         """The weakened filter never computes fewer distances than the
@@ -169,5 +170,6 @@ class TestPointFilters:
             qc = cq.assignment[q]
             heap, _ = point_filter_full(points[q], q, ct, candidates[qc],
                                         ubs[qc], k)
-            dists, _ = heap.sorted_items()
-            np.testing.assert_allclose(dists, ref.distances[q], atol=1e-8)
+            dists, idx = heap.sorted_items()
+            np.testing.assert_array_equal(idx, ref.indices[q])
+            np.testing.assert_array_equal(dists, ref.distances[q])

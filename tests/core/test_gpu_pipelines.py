@@ -15,7 +15,8 @@ class TestBasicGpuPipeline:
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = basic_ti_knn(clustered_points, clustered_points, 8,
                            np.random.default_rng(0))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_counters_match_cpu_reference(self, clustered_points):
         """One thread per query, same candidate order, same bound
@@ -53,19 +54,22 @@ class TestSweetPipeline:
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = sweet_knn(clustered_points, clustered_points, 8,
                         np.random.default_rng(0))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_exact_on_uniform(self, uniform_points):
         ref = brute_force_knn(uniform_points, uniform_points, 5)
         res = sweet_knn(uniform_points, uniform_points, 5,
                         np.random.default_rng(0))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_exact_with_partial_filter(self, clustered_points):
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = sweet_knn(clustered_points, clustered_points, 8,
                         np.random.default_rng(0), force_filter="partial")
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
         assert res.stats.extra["filter"] == "partial"
 
     @pytest.mark.parametrize("tpq", [2, 4, 8])
@@ -73,7 +77,8 @@ class TestSweetPipeline:
         ref = brute_force_knn(clustered_points, clustered_points, 6)
         res = sweet_knn(clustered_points, clustered_points, 6,
                         np.random.default_rng(0), threads_per_query=tpq)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
         assert res.stats.extra["threads_per_query"] == tpq
 
     def test_exact_multi_thread_partial(self, clustered_points):
@@ -81,14 +86,16 @@ class TestSweetPipeline:
         res = sweet_knn(clustered_points, clustered_points, 6,
                         np.random.default_rng(0), threads_per_query=4,
                         force_filter="partial")
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     @pytest.mark.parametrize("placement", ["global", "shared", "registers"])
     def test_exact_under_forced_placement(self, clustered_points, placement):
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = sweet_knn(clustered_points, clustered_points, 8,
                         np.random.default_rng(0), force_placement=placement)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
         assert res.stats.extra["placement"] == placement
 
     @pytest.mark.parametrize("layout", ["row", "col"])
@@ -96,20 +103,23 @@ class TestSweetPipeline:
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = sweet_knn(clustered_points, clustered_points, 8,
                         np.random.default_rng(0), force_layout=layout)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_exact_without_remap(self, clustered_points):
         ref = brute_force_knn(clustered_points, clustered_points, 8)
         res = sweet_knn(clustered_points, clustered_points, 8,
                         np.random.default_rng(0), remap=False)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_disjoint_query_target_sets(self, rng):
         queries = rng.normal(size=(60, 6))
         targets = rng.normal(size=(300, 6))
         ref = brute_force_knn(queries, targets, 9)
         res = sweet_knn(queries, targets, 9, np.random.default_rng(1))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_remap_improves_warp_efficiency(self, rng):
         """Thread-data remapping must raise level-2 warp efficiency on
@@ -131,14 +141,16 @@ class TestSweetPipeline:
                         np.random.default_rng(0), device=tiny)
         assert res.stats.extra["partitions"] > 1
         ref = brute_force_knn(clustered_points, clustered_points, 8)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_small_query_set_goes_multi_thread(self, rng):
         points = rng.normal(size=(64, 10))
         res = sweet_knn(points, points, 4, np.random.default_rng(0))
         assert res.stats.extra["threads_per_query"] > 1
         ref = brute_force_knn(points, points, 4)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        np.testing.assert_array_equal(res.indices, ref.indices)
+        np.testing.assert_array_equal(res.distances, ref.distances)
 
     def test_large_k_small_d_picks_partial(self, rng):
         points = rng.normal(size=(400, 3))

@@ -1,12 +1,14 @@
-"""The GEMM shortlist against a test-only copy of the direct form.
+"""The GEMM shortlist against test-only copies of the direct forms.
 
 Every "nearest" use in Step 1 and ``brute`` goes through
-:func:`repro.core.bounds.nearest_columns`; its answers, and the
-landmark spread pick's, must be exactly those of computing every
-distance in the direct form.  The generators aim at the bound's edges:
-exact ties and duplicates, d = 1, d >> n, k = |T|, magnitudes from
-1e-150 to 1e150 (and at and past the overflow of ``‖x‖²``), and spread trials
-that tie or nearly tie.
+:func:`repro.core.bounds.nearest_columns`; its answers must be exactly
+those of computing every distance as one dot product per pair (the
+form of :func:`repro.core.bounds.pair_distances`), and the landmark
+spread pick's those of summing every distance in the ``einsum`` form.
+The generators aim at the bound's edges: exact ties and duplicates,
+d = 1, d >> n, k = |T|, magnitudes from 1e-150 to 1e150 (and at and
+past the overflow of ``‖x‖²``), and spread trials that tie or nearly
+tie.
 """
 
 import numpy as np
@@ -41,9 +43,19 @@ def direct_matrix(a, b):
     return np.sqrt(direct_squares(a, b))
 
 
+def dot_squares(a, b):
+    """Every squared distance as one BLAS dot product per pair."""
+    return np.array([[np.dot(t - q, t - q) for t in b]
+                     for q in a]).reshape(len(a), len(b))
+
+
+def dot_matrix(a, b):
+    return np.sqrt(dot_squares(a, b))
+
+
 def direct_nearest(a, b, k):
     """Every distance, then the (distance, index) order."""
-    dists = direct_matrix(a, b)
+    dists = dot_matrix(a, b)
     cols = np.broadcast_to(np.arange(b.shape[0]), dists.shape)
     order = np.lexsort((cols, dists), axis=1)[:, :k]
     return np.take_along_axis(dists, order, axis=1), order
@@ -102,7 +114,7 @@ class TestNearestColumns:
     def test_ties_at_the_boundary(self, direct_max, monkeypatch):
         """1-D integer grids: the k-th place splits a run of equal
         distances, and the lower target ids must win it, on the
-        shortlist and on the dense direct path."""
+        shortlist and when every pair is ranked."""
         monkeypatch.setattr(bounds, "_DIRECT_MAX_ELEMS", direct_max)
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -121,7 +133,8 @@ class TestNearestColumns:
             a = rng.normal(size=(30, 17)) * scale + scale
             b = rng.normal(size=(40, 17)) * scale
             g, err = expanded_sq_distances(a, b)
-            assert np.all(np.abs(g - direct_squares(a, b)) <= err[:, None])
+            for squares in (direct_squares(a, b), dot_squares(a, b)):
+                assert np.all(np.abs(g - squares) <= err[:, None])
 
     def test_cancellation_far_from_origin(self):
         """Gaps far below the expanded form's rounding: the shortlist
@@ -170,7 +183,7 @@ class TestStepOneOps:
         m = data.draw(st.integers(1, len(points)))
         centers = data.draw(st.permutations(range(len(points))))[:m]
         cs = cluster_points(points, centers, sort_descending=True)
-        block = direct_matrix(points, points[centers])
+        block = dot_matrix(points, points[centers])
         assignment = np.argmin(block, axis=1)
         assert np.array_equal(cs.assignment, assignment)
         assert np.array_equal(
@@ -215,7 +228,7 @@ class TestStepOneOps:
         new_ids = index.add(points)
         if index.build_count > 1:     # the policy re-clustered
             return
-        block = direct_matrix(points, centers)
+        block = dot_matrix(points, centers)
         assignment = np.argmin(block, axis=1)
         ct = index.target_clusters
         assert np.array_equal(ct.assignment[new_ids], assignment)

@@ -56,8 +56,9 @@ class TestScanAgainstReferenceFilter:
             assert (trace.distance_computations
                     == ref_trace.distance_computations)
             assert trace.examined == ref_trace.examined
-            np.testing.assert_allclose(heap.sorted_items()[0],
-                                       ref_heap.sorted_items()[0])
+            for got, want in zip(heap.sorted_items(),
+                                 ref_heap.sorted_items()):
+                np.testing.assert_array_equal(got, want)
 
     def test_partial_scan_matches_reference(self, clustered_points, plan,
                                             level1):
@@ -77,8 +78,9 @@ class TestScanAgainstReferenceFilter:
                 center_dists_row=row)
             assert (trace.distance_computations
                     == ref_trace.distance_computations)
-            got, _ = select_k_from_pairs(survivors, 6)
-            np.testing.assert_allclose(got, dists)
+            got, got_idx = select_k_from_pairs(survivors, 6)
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got, dists)
 
 
 class TestLaneLogStructure:
@@ -144,8 +146,9 @@ class TestSubscans:
                                    member_stride=inner)
                 heap, _, _ = _scan(plan, clustered_points, q, spec=spec)
                 lists.append(heap.sorted_items())
-            dists, _ = merge_sorted_lists(lists, 6)
-            np.testing.assert_allclose(dists, ref.distances[q], atol=1e-9)
+            dists, idx = merge_sorted_lists(lists, 6)
+            np.testing.assert_array_equal(idx, ref.indices[q])
+            np.testing.assert_array_equal(dists, ref.distances[q])
 
     def test_subscans_weaken_filtering(self, clustered_points, plan):
         """Splitting a query across threads weakens the bound (each

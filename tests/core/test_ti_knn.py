@@ -7,45 +7,50 @@ from repro.baselines.brute_force import brute_force_knn
 from repro.core.ti_knn import prepare_clusters, ti_knn_join
 
 
+def assert_same_answer(res, ref):
+    """Bit for bit: distances and ids, ties included."""
+    np.testing.assert_array_equal(res.indices, ref.indices)
+    np.testing.assert_array_equal(res.distances, ref.distances)
+
+
 class TestTiKnnJoin:
-    @pytest.mark.parametrize("strength", ["full", "partial"])
-    def test_matches_brute_force_self_join(self, clustered_points, strength):
+    def test_matches_brute_force_self_join(self, clustered_points):
         ref = brute_force_knn(clustered_points, clustered_points, 10)
         res = ti_knn_join(clustered_points, clustered_points, 10,
-                          np.random.default_rng(0), filter_strength=strength)
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+                          np.random.default_rng(0))
+        assert_same_answer(res, ref)
 
     def test_matches_brute_force_disjoint_sets(self, rng):
         queries = rng.normal(size=(80, 5))
         targets = rng.normal(size=(250, 5)) * 2
         ref = brute_force_knn(queries, targets, 7)
         res = ti_knn_join(queries, targets, 7, np.random.default_rng(1))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        assert_same_answer(res, ref)
 
     def test_uniform_data_still_exact(self, uniform_points):
         ref = brute_force_knn(uniform_points, uniform_points, 5)
         res = ti_knn_join(uniform_points, uniform_points, 5,
                           np.random.default_rng(2))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        assert_same_answer(res, ref)
 
     def test_k_equals_one(self, clustered_points):
         res = ti_knn_join(clustered_points, clustered_points, 1,
                           np.random.default_rng(0))
         # Self-join: the nearest neighbour of each point is itself.
-        np.testing.assert_allclose(res.distances[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_array_equal(res.distances[:, 0], 0.0)
 
     def test_k_equals_n(self, rng):
         points = rng.normal(size=(30, 3))
         ref = brute_force_knn(points, points, 30)
         res = ti_knn_join(points, points, 30, np.random.default_rng(0))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        assert_same_answer(res, ref)
 
     def test_duplicates(self, rng):
         base = rng.normal(size=(10, 4))
         points = np.tile(base, (8, 1))
         ref = brute_force_knn(points, points, 9)
         res = ti_knn_join(points, points, 9, np.random.default_rng(0))
-        np.testing.assert_allclose(res.distances, ref.distances, atol=1e-9)
+        assert_same_answer(res, ref)
 
     def test_invalid_k(self, clustered_points):
         with pytest.raises(ValueError):
@@ -54,11 +59,6 @@ class TestTiKnnJoin:
         with pytest.raises(ValueError):
             ti_knn_join(clustered_points, clustered_points, 10 ** 6,
                         np.random.default_rng(0))
-
-    def test_invalid_strength(self, clustered_points):
-        with pytest.raises(ValueError):
-            ti_knn_join(clustered_points, clustered_points, 3,
-                        np.random.default_rng(0), filter_strength="medium")
 
     def test_stats_populated(self, clustered_points):
         res = ti_knn_join(clustered_points, clustered_points, 5,
@@ -89,7 +89,7 @@ class TestTiKnnJoin:
                             None, plan=plan)
         res_b = ti_knn_join(clustered_points, clustered_points, 5,
                             np.random.default_rng(0))
-        np.testing.assert_allclose(res_a.distances, res_b.distances)
+        assert_same_answer(res_a, res_b)
 
 
 class TestPrepareClusters:

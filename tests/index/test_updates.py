@@ -21,11 +21,8 @@ def _assert_exact(index, queries, k, method="ti-cpu"):
     knn = SweetKNN.from_index(index, method=method)
     result = knn.query(queries, k)
     ref_dists, ref_ids = _brute_reference(queries, index, k)
-    np.testing.assert_allclose(result.distances, ref_dists,
-                               rtol=0, atol=1e-9)
-    for row in range(len(queries)):
-        np.testing.assert_array_equal(np.sort(result.indices[row]),
-                                      np.sort(ref_ids[row]))
+    np.testing.assert_array_equal(result.indices, ref_ids)
+    np.testing.assert_array_equal(result.distances, ref_dists)
 
 
 class TestAdd:

@@ -93,9 +93,8 @@ class TestServedUpdateSequence:
                                                      queries, K)
                     assert np.array_equal(response.indices, ref_ids), \
                         (method, step, op)
-                    np.testing.assert_allclose(response.distances,
-                                               ref_dists, rtol=0,
-                                               atol=1e-9)
+                    np.testing.assert_array_equal(response.distances,
+                                                  ref_dists)
                     answers[method] = response
                 assert np.array_equal(answers["ti-flat"].indices,
                                       answers["ti-cpu"].indices)

@@ -38,8 +38,32 @@ class TestKNearestHeap:
         heap = KNearestHeap(2)
         heap.push(1.0, 0)
         heap.push(2.0, 1)
-        assert not heap.push(2.0, 2)  # ties are rejected (>= root)
+        assert not heap.push(2.0, 2)  # (2.0, 2) follows the root (2.0, 1)
         assert not heap.push(3.0, 3)
+
+    def test_ties_follow_distance_then_index(self):
+        """A tie across the k-th place goes to the lower index, whatever
+        the order the pairs arrive in."""
+        heap = KNearestHeap(2)
+        for dist, idx in [(2.0, 9), (1.0, 7), (2.0, 4), (2.0, 6)]:
+            heap.push(dist, idx)
+        dists, idx = heap.sorted_items()
+        np.testing.assert_array_equal(dists, [1.0, 2.0])
+        np.testing.assert_array_equal(idx, [7, 4])
+        assert heap.check_invariant()
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_keeps_the_first_k_in_distance_index_order(self, values, k):
+        heap = KNearestHeap(k)
+        order = np.random.default_rng(len(values)).permutation(len(values))
+        for i in order:
+            heap.push(float(values[i]), int(i))
+        dists, idx = heap.sorted_items()
+        want = np.lexsort((np.arange(len(values)), values))[:k]
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(dists, np.asarray(values, float)[want])
 
     def test_initial_bound(self):
         heap = KNearestHeap(2, bound=10.0)

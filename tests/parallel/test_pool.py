@@ -50,7 +50,7 @@ class TestWorkerPool:
                                queries=uniform_points,
                                targets=uniform_points, k=4,
                                rng=np.random.default_rng(0),
-                               options={"filter_strength": "bogus"})
+                               options={"mq": 0})
             bad = [ShardTask(job=bad_job, shards=((0, 0, 50),)),
                    ShardTask(job=bad_job, shards=((1, 50, 100),))]
             with pytest.raises(ValueError):

@@ -142,7 +142,7 @@ class TestErrorHandling:
         with pytest.raises((ValueError, ValidationError)):
             knn_join(clustered_points, clustered_points, 6,
                      method="ti-cpu", seed=3, workers=2, pool="thread",
-                     filter_strength="bogus")
+                     mq=0)
         after = knn_join(clustered_points, clustered_points, 6,
                          method="ti-cpu", seed=3, workers=2, pool="thread")
         serial = knn_join(clustered_points, clustered_points, 6,

@@ -186,23 +186,25 @@ class TestExecutedRecords:
 
 
 class TestFilterStrengthRecord:
-    """The record names the filter that actually ran."""
+    """The record names the filter that actually ran: the host TI
+    engines run the full filter only and take no filter option."""
 
     def test_ti_cpu_records_the_strength_it_ran(self):
         points = np.random.default_rng(4).normal(size=(200, 4))
-        for strength in ("full", "partial"):
-            result = knn_join(points, points, 5, method="ti-cpu",
-                              filter_strength=strength)
-            assert result.method == "ti-knn-cpu/" + strength
-            record = result.stats.extra["decision"]
-            assert record["filter_strength"] == strength
-            assert record["reason"].endswith("filter=" + strength)
-        default = knn_join(points, points, 5, method="ti-cpu")
-        assert default.stats.extra["decision"]["filter_strength"] == "full"
+        result = knn_join(points, points, 5, method="ti-cpu")
+        assert result.method == "ti-knn-cpu/full"
+        record = result.stats.extra["decision"]
+        assert record["filter_strength"] == "full"
+        assert record["reason"].endswith("filter=full")
+        with pytest.raises(TypeError, match="filter_strength"):
+            knn_join(points, points, 5, method="ti-cpu",
+                     filter_strength="partial")
 
     def test_ti_flat_rejects_a_filter_strength_option(self):
         points = np.random.default_rng(4).normal(size=(200, 4))
+        assert knn_join(points, points, 5, method="ti-flat").stats.extra[
+            "decision"]["filter_strength"] == "full"
         for strength in ("full", "partial"):
-            with pytest.raises(ValueError, match="filter_strength"):
+            with pytest.raises(TypeError, match="filter_strength"):
                 knn_join(points, points, 5, method="ti-flat",
                          filter_strength=strength)

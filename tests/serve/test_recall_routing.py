@@ -60,8 +60,7 @@ class TestExactDefault:
             stats = server.stats()
         direct = knn_join(queries, targets, 6, method="brute")
         np.testing.assert_array_equal(response.indices, direct.indices)
-        np.testing.assert_allclose(response.distances, direct.distances,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(response.distances, direct.distances)
         assert response.route == "exact"
         assert response.recall_target is None
         assert response.ef is None

@@ -166,7 +166,6 @@ class TestConcurrencyDeterminism:
         server = KNNServer(method="ti-cpu", degraded_method="brute",
                            max_wait_s=0.02, max_queue_depth=4,
                            degrade_at=0.5)
-        direct_brute = knn_join(queries, targets, 4, method="brute")
         with server:
             threads = [threading.Thread(
                 target=self._hammer,
@@ -189,16 +188,9 @@ class TestConcurrencyDeterminism:
             for row, response in served:
                 if response.degraded:
                     assert response.engine == "brute"
-                    assert np.array_equal(np.sort(response.indices),
-                                          np.sort(direct_brute.indices[row]))
-                    assert np.allclose(response.distances,
-                                       direct_brute.distances[row],
-                                       rtol=0, atol=0)
-                else:
-                    assert np.array_equal(response.indices,
-                                          direct.indices[row])
-                    assert np.array_equal(response.distances,
-                                          direct.distances[row])
+                assert np.array_equal(response.indices, direct.indices[row])
+                assert np.array_equal(response.distances,
+                                      direct.distances[row])
 
     def test_deadline_expiry_under_load(self, data):
         targets, queries = data
@@ -239,10 +231,27 @@ class TestDegradation:
         assert server.stats().degraded > 0
         direct = knn_join(queries[:20], targets, 4, method="ti-cpu")
         for i, response in responses:
-            assert np.array_equal(np.sort(response.indices),
-                                  np.sort(direct.indices[i]))
-            assert np.allclose(response.distances, direct.distances[i],
-                               rtol=0, atol=1e-9)
+            assert np.array_equal(response.indices, direct.indices[i])
+            assert np.array_equal(response.distances, direct.distances[i])
+
+    def test_degraded_answers_equal_the_primary_engine(self, data,
+                                                      monkeypatch):
+        """A batch forced onto the degraded route answers bit for bit
+        as a direct join of the primary engine: every exact engine
+        ranks in one distance form and one tie order."""
+        targets, queries = data
+        server = KNNServer(method="ti-flat", degraded_method="brute",
+                           degrade_at=1e-9, max_wait_s=0.0)
+        run_batch = server._run_batch
+        monkeypatch.setattr(
+            server, "_run_batch",
+            lambda requests, pressure: run_batch(requests, 1.0))
+        with server:
+            response = server.query(queries, targets, k=6)
+        assert response.degraded
+        direct = knn_join(queries, targets, 6, method="ti-flat")
+        assert np.array_equal(response.indices, direct.indices)
+        assert np.array_equal(response.distances, direct.distances)
 
     def test_degraded_batch_skips_removed_rows(self, data, monkeypatch):
         targets, _ = data

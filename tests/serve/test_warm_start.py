@@ -48,8 +48,7 @@ class TestWarmStart:
             response = server.query(queries, targets, k=6)
         direct = knn_join(queries, targets, 6, method="brute")
         np.testing.assert_array_equal(response.indices, direct.indices)
-        np.testing.assert_allclose(response.distances, direct.distances,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(response.distances, direct.distances)
 
     def test_unrelated_targets_still_build(self, index_dir, data):
         """Preloading is a cache seed, not a restriction: traffic over
@@ -83,5 +82,4 @@ class TestWarmStart:
         assert stats.cache_misses == 0
         direct = knn_join(queries, targets, 5, method="brute")
         np.testing.assert_array_equal(response.indices, direct.indices)
-        np.testing.assert_allclose(response.distances, direct.distances,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(response.distances, direct.distances)

@@ -397,6 +397,24 @@ class TestExplainCommand:
         assert record["k"] == 5
         assert record["funnel"]["candidates"] > 0
 
+    def test_explain_auto_records_an_unpinned_decision(self, tmp_path):
+        """``--method auto`` is recorded as the scheduler's choice, as
+        ``knn_join(method="auto")`` records it."""
+        import json
+
+        path = tmp_path / "audit.jsonl"
+        code, text = _run(["explain", "--n", "300", "--dim", "2",
+                           "-k", "20", "--method", "auto",
+                           "--json", str(path)])
+        assert code == 0
+        assert "auto -> ti-flat" in text
+        (record,) = [json.loads(line)
+                     for line in path.read_text().splitlines()]
+        decision = record["decision"]
+        assert decision["engine"] == "ti-flat"
+        assert decision["engine_pinned"] is False
+        assert decision["reason"].startswith("auto:")
+
     def test_explain_sharded_lists_shards(self):
         code, text = _run(["explain", "--n", "300", "--dim", "6",
                            "-k", "5", "--method", "ti-cpu",

@@ -13,6 +13,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro import knn_join
 
+
+def assert_same_answer(result, oracle):
+    """Bit for bit: distances and ids, ties included."""
+    np.testing.assert_array_equal(result.indices, oracle.indices)
+    np.testing.assert_array_equal(result.distances, oracle.distances)
+
 _points = hnp.arrays(
     np.float64,
     st.tuples(st.integers(10, 60), st.integers(1, 6)),
@@ -20,14 +26,14 @@ _points = hnp.arrays(
 
 
 @given(points=_points, k=st.integers(1, 8),
-       method=st.sampled_from(["sweet", "ti-gpu", "ti-cpu"]))
+       method=st.sampled_from(["sweet", "ti-gpu", "ti-cpu", "ti-flat",
+                               "kdtree", "cublas"]))
 @settings(max_examples=60, deadline=None)
 def test_ti_engines_exact_on_arbitrary_inputs(points, k, method):
     k = min(k, points.shape[0])
     oracle = knn_join(points, points, k, method="brute")
     result = knn_join(points, points, k, method=method, seed=0)
-    np.testing.assert_allclose(result.distances, oracle.distances,
-                               atol=1e-7)
+    assert_same_answer(result, oracle)
 
 
 @given(points=_points, k=st.integers(1, 8))
@@ -37,8 +43,7 @@ def test_sweet_partial_filter_exact_on_arbitrary_inputs(points, k):
     oracle = knn_join(points, points, k, method="brute")
     result = knn_join(points, points, k, method="sweet", seed=0,
                       force_filter="partial")
-    np.testing.assert_allclose(result.distances, oracle.distances,
-                               atol=1e-7)
+    assert_same_answer(result, oracle)
 
 
 @given(points=_points, k=st.integers(1, 6),
@@ -49,8 +54,7 @@ def test_sweet_multithread_exact_on_arbitrary_inputs(points, k, tpq):
     oracle = knn_join(points, points, k, method="brute")
     result = knn_join(points, points, k, method="sweet", seed=0,
                       threads_per_query=tpq)
-    np.testing.assert_allclose(result.distances, oracle.distances,
-                               atol=1e-7)
+    assert_same_answer(result, oracle)
 
 
 @given(queries=_points, k=st.integers(1, 5), seed=st.integers(0, 10))
@@ -60,7 +64,7 @@ def test_landmark_seed_never_changes_the_answer(queries, k, seed):
     k = min(k, queries.shape[0])
     a = knn_join(queries, queries, k, method="sweet", seed=0)
     b = knn_join(queries, queries, k, method="sweet", seed=seed)
-    np.testing.assert_allclose(a.distances, b.distances, atol=1e-9)
+    assert_same_answer(a, b)
 
 
 @given(scale=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
