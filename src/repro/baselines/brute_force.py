@@ -22,8 +22,7 @@ def brute_force_knn(queries, targets, k):
     """Exact KNN join by exhaustive distance computation.
 
     Returns a :class:`~repro.core.result.KNNResult`; ties are broken by
-    target index, matching :func:`repro.kselect.select_k_smallest`,
-    also for a tie that straddles the k-th place.
+    target index, also for a tie that straddles the k-th place.
     """
     queries = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

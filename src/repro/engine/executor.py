@@ -10,24 +10,21 @@ either
 * tiles the query set into device-memory-sized batches and merges the
   per-batch :class:`~repro.core.result.KNNResult`s.
 
-For prepared-index engines the batched path builds the Step-1 state
-(:func:`~repro.core.ti_knn.prepare_clusters`) **once**, then restricts
-each engine call to a ``query_subset`` of the shared plan.  Because the
-level-2 scan of a query depends only on its own cluster's candidate
-list and bound, every per-query result and work counter is bit-for-bit
-identical to the unbatched run, and the merged counters are exactly the
-unbatched totals (the shared preparation is accounted on the first
-batch only, via ``account_prepare``).  Engines without prepared-index
-support are batched by plain row slicing, which is counter-additive by
-construction.
-
-With ``workers > 1`` the same tiles fan out across a
-:mod:`repro.parallel` worker pool instead of running sequentially.
-Sharded execution inherits the batched path's contract wholesale —
-each worker rebuilds (or receives) the identical Step-1 plan, exactly
-one shard accounts the preparation, and the per-shard results merge in
-tile order — so results and summed counters stay bit-for-bit equal to
-the serial run.
+Both tiled paths share one tile loop,
+:func:`~repro.parallel.worker.run_shard_task`: the serial batched path
+runs it inline, and with ``workers > 1`` the same tiles fan out across
+a :mod:`repro.parallel` worker pool.  For prepared-index engines the
+caller builds the Step-1 state
+(:func:`~repro.core.ti_knn.prepare_clusters`) **once** — or takes the
+prebuilt plan — and every tile restricts its engine call to a
+``query_subset`` of that plan.  Because the level-2 scan of a query
+depends only on its own cluster's candidate list and bound, every
+per-query result and work counter is bit-for-bit identical to the
+unbatched run, and the merged counters are exactly the unbatched
+totals (the shared preparation is accounted on tile 0 only, via
+``account_prepare``; per-tile results merge in tile order).  Engines
+without prepared-index support are tiled by plain row slicing, which
+is counter-additive by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from ..errors import ValidationError
 from ..parallel import get_pool, plan_shards, resolve_pool_kind, \
     resolve_workers
 from ..index.cache import PlanHandle
-from ..parallel.worker import ShardJob, ShardTask, plan_cache_key
+from ..parallel.worker import ShardJob, ShardTask, run_shard_task
 from .base import ExecutionContext
 from .planner import partition_ranges, plan_shape
 
@@ -201,119 +198,105 @@ def _execute(spec, queries, targets, k, rng=None, device=None,
     rows = _resolve_rows(spec, queries, targets, k, device,
                          query_batch_size, options)
 
+    shard_plan = None
     n_workers = resolve_workers(workers)
     if n_workers > 1:
         shard_plan = plan_shards(n_q, rows, n_workers,
                                  kind=resolve_pool_kind(pool),
                                  fixed_rows=query_batch_size is not None)
-        if shard_plan.sharded:
-            return _execute_sharded(spec, queries, targets, k, shard_plan,
-                                    rng=rng, device=device,
-                                    prepared_plan=prepared_plan,
-                                    index=index, explain=explain, **options)
+        if not shard_plan.sharded:
+            shard_plan = None
 
-    if rows >= n_q:
+    if shard_plan is None and rows >= n_q:
         ctx = ExecutionContext(rng=rng, device=device, plan=prepared_plan)
         return spec.run(queries, targets, k, ctx, **options)
 
-    ranges = partition_ranges(n_q, rows)
-    batches = []
-    if spec.caps.supports_prepared_index:
-        # Imported here: executor <-> core would otherwise cycle.
-        from ..core.ti_knn import prepare_clusters
-        mq = options.pop("mq", None)
-        mt = options.pop("mt", None)
-        shared = prepared_plan
-        if shared is None:
-            budget = device.global_mem_bytes if device is not None else None
-            shared = prepare_clusters(queries, targets, rng, mq=mq, mt=mt,
-                                      memory_budget_bytes=budget)
-        for i, (start, stop) in enumerate(ranges):
-            subset = np.arange(start, stop)
-            ctx = ExecutionContext(rng=rng, device=device, plan=shared,
-                                   query_subset=subset,
-                                   account_prepare=(i == 0))
-            with obs.span("engine.batch", index=i, start=int(start),
-                          stop=int(stop)):
-                batches.append((subset, spec.run(queries, targets, k, ctx,
-                                                 **options)))
-    else:
-        for i, (start, stop) in enumerate(ranges):
-            ctx = ExecutionContext(rng=rng, device=device)
-            with obs.span("engine.batch", index=i, start=int(start),
-                          stop=int(stop)):
-                batches.append((np.arange(start, stop),
-                                spec.run(queries[start:stop], targets, k, ctx,
-                                         **options)))
-
-    from ..core.result import merge_results
-    return merge_results(batches, n_q, k)
-
-
-def _execute_sharded(spec, queries, targets, k, shard_plan, rng=None,
-                     device=None, prepared_plan=None, index=None,
-                     explain=False, **options):
-    """Fan the query tiles across the worker pool; merge in tile order.
-
-    Tiles are dealt round-robin into one task per worker, so the input
-    arrays (and, when the caller prebuilt one, the Step-1 plan) are
-    pickled once per worker rather than once per tile.  When the plan
-    comes from a disk-backed :class:`repro.index.Index` and the pool is
-    process-based, the job ships a zero-copy
-    :class:`~repro.index.cache.PlanHandle` — index path plus
-    ``(fingerprint, version)`` — instead of the target arrays, and the
-    workers reattach them via a shared read-only mmap.  Tile 0 is the
-    job's accounting shard (``account_prepare``), mirroring the serial
-    batched path, so summed counters equal the unbatched totals.
-    """
-    n_q = len(queries)
-    mode = "shared" if spec.caps.supports_prepared_index else "slice"
-    mq = mt = None
-    plan_key = None
     handle = None
-    budget = device.global_mem_bytes if device is not None else None
-    if mode == "shared":
-        mq = options.pop("mq", None)
-        mt = options.pop("mt", None)
-        if (prepared_plan is not None and index is not None
-                and shard_plan.kind == "process"
-                and index.source_path is not None
-                and prepared_plan.target_clusters
-                is index.target_clusters):
+    if spec.caps.supports_prepared_index:
+        mode = "shared"
+        plan = _step1_plan(queries, targets, rng, device, prepared_plan,
+                           options)
+        if (shard_plan is not None and shard_plan.kind == "process"
+                and index is not None and index.source_path is not None
+                and plan.target_clusters is index.target_clusters):
             handle = PlanHandle(index_path=index.source_path,
                                 index_key=index.key,
-                                query_clusters=prepared_plan.query_clusters,
-                                center_dists=prepared_plan.center_dists)
-        plan_key = plan_cache_key(queries, targets, rng=rng, mq=mq, mt=mt,
-                                  memory_budget_bytes=budget,
-                                  plan=prepared_plan, handle=handle)
-
+                                query_clusters=plan.query_clusters,
+                                center_dists=plan.center_dists)
+            plan = None
+    else:
+        mode, plan = "slice", None
     job = ShardJob(engine=spec.name, mode=mode, queries=queries,
                    targets=None if handle is not None else targets,
-                   k=int(k), rng=rng, device=device,
-                   options=dict(options), mq=mq, mt=mt,
-                   memory_budget_bytes=budget,
-                   plan=None if handle is not None else prepared_plan,
-                   handle=handle, plan_key=plan_key, account_index=0)
+                   k=int(k), rng=rng, device=device, options=dict(options),
+                   plan=plan, handle=handle, account_index=0)
+
+    if shard_plan is None:
+        tiles = tuple((tile, int(start), int(stop)) for tile, (start, stop)
+                      in enumerate(partition_ranges(n_q, rows)))
+        outcomes = run_shard_task(ShardTask(job=job, shards=tiles))
+        return _merge(outcomes, n_q, k)
+    return _execute_sharded(job, n_q, shard_plan, explain=explain)
+
+
+def _merge(outcomes, n_q, k):
+    """One result from tile outcomes given in tile order."""
+    from ..core.result import merge_results
+
+    return merge_results(
+        [(np.arange(outcome.start, outcome.stop), outcome.result)
+         for outcome in outcomes], n_q, k)
+
+
+def _step1_plan(queries, targets, rng, device, prepared_plan, options):
+    """The join's Step-1 plan: the caller's prebuilt one, or built once.
+
+    Pops ``mq``/``mt`` from ``options``: every tile runs against this
+    plan instead of preparing its own.
+    """
+    mq = options.pop("mq", None)
+    mt = options.pop("mt", None)
+    if prepared_plan is not None:
+        return prepared_plan
+    # Imported here: executor <-> core would otherwise cycle.
+    from ..core.ti_knn import prepare_clusters
+
+    budget = device.global_mem_bytes if device is not None else None
+    return prepare_clusters(queries, targets, rng, mq=mq, mt=mt,
+                            memory_budget_bytes=budget)
+
+
+def _execute_sharded(job, n_q, shard_plan, explain=False):
+    """Fan the job's query tiles across the worker pool; merge in order.
+
+    Tiles are dealt round-robin into one task per worker, so the input
+    arrays and the Step-1 plan are pickled once per worker rather than
+    once per tile; a process pool over a disk-backed index gets the
+    job's :class:`~repro.index.cache.PlanHandle` instead of both.  Tile
+    0 is the job's accounting shard (``account_prepare``), mirroring the
+    serial batched path, so summed counters equal the unbatched totals.
+    """
     ranges = shard_plan.ranges(n_q)
     chunks = [[] for _ in range(shard_plan.workers)]
-    for index, (start, stop) in enumerate(ranges):
-        chunks[index % shard_plan.workers].append(
-            (index, int(start), int(stop)))
+    for tile, (start, stop) in enumerate(ranges):
+        chunks[tile % shard_plan.workers].append(
+            (tile, int(start), int(stop)))
     tasks = [ShardTask(job=job, shards=tuple(chunk))
              for chunk in chunks if chunk]
+    zero_copy = job.handle is not None
 
     worker_pool = get_pool(shard_plan.workers, shard_plan.kind)
     with obs.span("engine.shard_fanout", workers=shard_plan.workers,
                   shards=len(ranges), pool=worker_pool.kind,
                   rows_per_shard=shard_plan.rows_per_shard,
-                  zero_copy=handle is not None):
+                  zero_copy=zero_copy):
         outcomes = worker_pool.run(tasks)
     outcomes.sort(key=lambda outcome: outcome.index)
 
-    # Workers run without a tracer (fresh threads/processes), so the
-    # parent re-emits one span per shard and publishes the pool gauges;
-    # the merged stats are published once by execute()'s outer span.
+    # Pooled workers run without a tracer (fresh threads/processes), so
+    # the parent re-emits one span per shard and publishes the pool
+    # gauges; the merged stats are published once by execute()'s outer
+    # span.
     tracer = obs.current_tracer()
     if tracer is not None:
         tracer.registry.gauge("parallel.workers").set(shard_plan.workers)
@@ -321,21 +304,16 @@ def _execute_sharded(spec, queries, targets, k, shard_plan, rng=None,
     for outcome in outcomes:
         with obs.span("engine.shard", index=outcome.index,
                       start=outcome.start, stop=outcome.stop,
-                      worker=outcome.worker, cache_hit=outcome.cache_hit,
+                      worker=outcome.worker,
                       wall_s=round(outcome.wall_s, 6)):
             pass
 
-    from ..core.result import merge_results
     with obs.span("engine.shard_merge", shards=len(outcomes)):
-        merged = merge_results(
-            [(np.arange(outcome.start, outcome.stop), outcome.result)
-             for outcome in outcomes], n_q, k)
+        merged = _merge(outcomes, n_q, job.k)
     merged.stats.extra["workers"] = shard_plan.workers
     merged.stats.extra["shards"] = len(outcomes)
     merged.stats.extra["pool"] = worker_pool.kind
-    merged.stats.extra["shard_cache_hits"] = sum(
-        1 for outcome in outcomes if outcome.cache_hit)
-    merged.stats.extra["zero_copy"] = handle is not None
+    merged.stats.extra["zero_copy"] = zero_copy
     merged.stats.extra["shard_wall_s"] = [round(outcome.wall_s, 6)
                                           for outcome in outcomes]
     if explain:
@@ -343,7 +321,6 @@ def _execute_sharded(spec, queries, targets, k, shard_plan, rng=None,
         merged.stats.extra["shard_detail"] = [
             {"shard": outcome.index, "start": outcome.start,
              "stop": outcome.stop, "worker": outcome.worker,
-             "cache_hit": outcome.cache_hit,
              "wall_s": round(outcome.wall_s, 6),
              "funnel": funnel_from_stats(outcome.result.stats)}
             for outcome in outcomes]

@@ -3,10 +3,9 @@
 Sweet KNN splits a join into a query-independent preparation phase
 (landmark selection, clustering, the descending member sort — Fig. 4
 steps 1-2) and a query phase that filters against that state.  Before
-this package, four layers each kept their own copy of "prepared":
-the core ``JoinPlan``, the engine ``PreparedIndex``, the serving
-index cache and the pool workers' plan cache.  They now all share one
-object and one identity:
+this package, several layers each kept their own copy of "prepared":
+the core ``JoinPlan``, the engine ``PreparedIndex`` and the serving
+index cache.  They now all share one object and one identity:
 
 * :class:`Index` — build / :meth:`~Index.save` /
   :meth:`~Index.load` (mmap, zero-copy across processes) /
@@ -18,8 +17,8 @@ object and one identity:
   deterministic rebuild.
 * :mod:`~repro.index.storage` — the on-disk format (manifest +
   ``.npy`` arrays, CSR-flattened member lists).
-* :mod:`~repro.index.cache` — per-process shared-plan and
-  loaded-index caches plus :class:`~repro.index.cache.PlanHandle`,
+* :mod:`~repro.index.cache` — the per-process loaded-index cache
+  plus :class:`~repro.index.cache.PlanHandle`,
   the by-path plan reference that keeps process-pool payloads
   O(queries).
 * :func:`fingerprint_points` — identity-memoized content hashes, so
@@ -31,9 +30,8 @@ See ``docs/INDEX.md`` for the lifecycle walk-through and the CLI
 
 from __future__ import annotations
 
-from .cache import (PlanHandle, clear_index_cache, clear_plan_cache,
-                    index_cache_info, load_cached, plan_cache_info,
-                    shared_plan)
+from .cache import (PlanHandle, clear_index_cache, index_cache_info,
+                    load_cached)
 from .fingerprint import (cached_fingerprints, clear_memo,
                           fingerprint_points, register_fingerprint)
 from .index import Index, UpdatePolicy
@@ -42,9 +40,7 @@ from .storage import (FORMAT_VERSION, MANIFEST_NAME, is_index_dir,
 
 __all__ = [
     "Index", "UpdatePolicy",
-    "PlanHandle", "shared_plan", "load_cached",
-    "plan_cache_info", "clear_plan_cache",
-    "index_cache_info", "clear_index_cache",
+    "PlanHandle", "load_cached", "index_cache_info", "clear_index_cache",
     "fingerprint_points", "register_fingerprint",
     "cached_fingerprints", "clear_memo",
     "FORMAT_VERSION", "MANIFEST_NAME", "is_index_dir",

@@ -1,27 +1,18 @@
-"""Process-level prepared-state caches and the zero-copy plan handle.
+"""The process-level loaded-index cache and the zero-copy plan handle.
 
-Two caches, both keyed by content identity:
-
-* :func:`shared_plan` — the per-process LRU of shared
-  :class:`~repro.core.ti_knn.JoinPlan`s that pool workers resolve
-  Step-1 state through.  Concurrent builders of one key serialise on a
-  per-key lock, so each worker process builds (or adopts) a given plan
-  exactly once; late arrivals count as cache hits.  This machinery
-  used to live inside :mod:`repro.parallel.worker`; it is owned here
-  so every prepared-state cache lives in ``repro.index``.
 * :func:`load_cached` — the per-process LRU of disk-loaded
   :class:`~repro.index.Index` objects, memory-mapped read-only.  All
   shards, requests and threads of one process that reference the same
   index directory share a single mapping (and all *processes* share
   the physical pages through the OS page cache).
-
-:class:`PlanHandle` ties them together: it is what ships to a process
-pool instead of the target arrays.  A handle carries the index
-*directory path* plus its ``(fingerprint, version)`` identity and the
-already-clustered query side; the worker resolves the target side via
-:func:`load_cached` and assembles the same
-:class:`~repro.core.ti_knn.JoinPlan` the parent holds — bit-identical,
-but with a pickled payload that is O(queries), not O(targets).
+* :class:`PlanHandle` — what ships to a process pool instead of the
+  caller's Step-1 plan and the target arrays.  A handle carries the
+  index *directory path* plus its ``(fingerprint, version)`` identity
+  and the already-clustered query side; the worker resolves the target
+  side via :func:`load_cached` and assembles the same
+  :class:`~repro.core.ti_knn.JoinPlan` the caller holds —
+  bit-identical, but with a pickled payload that is O(queries), not
+  O(targets).
 """
 
 from __future__ import annotations
@@ -33,52 +24,15 @@ from dataclasses import dataclass
 
 from ..errors import ValidationError
 
-__all__ = ["PlanHandle", "shared_plan", "load_cached",
-           "plan_cache_info", "clear_plan_cache",
-           "index_cache_info", "clear_index_cache"]
-
-#: Distinct prepared states kept per process; each entry holds a full
-#: JoinPlan (clusters + centre-distance matrix), so the cache is small.
-PLAN_CACHE_ENTRIES = 8
+__all__ = ["PlanHandle", "load_cached", "index_cache_info",
+           "clear_index_cache"]
 
 #: Distinct disk-loaded indexes kept mapped per process.  Entries are
 #: mmap-backed, so the resident cost is page-cache pressure, not heap.
 INDEX_CACHE_ENTRIES = 4
 
-_plans = OrderedDict()       # plan key -> JoinPlan
-_plans_lock = threading.Lock()
-_build_locks = {}            # plan key -> per-key build lock
-
 _indexes = OrderedDict()     # abspath -> Index (mmap-loaded)
 _indexes_lock = threading.Lock()
-
-
-def shared_plan(key, builder):
-    """The JoinPlan for ``key``, from the cache or built exactly once.
-
-    Returns ``(plan, cache_hit)``.  ``builder`` runs at most once per
-    key per process; concurrent callers of the same key block on a
-    per-key lock and then count as hits.
-    """
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan, True
-        lock = _build_locks.setdefault(key, threading.Lock())
-    with lock:
-        with _plans_lock:
-            plan = _plans.get(key)
-            if plan is not None:
-                _plans.move_to_end(key)
-                return plan, True
-        plan = builder()
-        with _plans_lock:
-            _plans[key] = plan
-            while len(_plans) > PLAN_CACHE_ENTRIES:
-                _plans.popitem(last=False)
-            _build_locks.pop(key, None)
-        return plan, False
 
 
 def load_cached(path, expect_key=None, mmap=True):
@@ -142,19 +96,6 @@ class PlanHandle:
         return JoinPlan(query_clusters=self.query_clusters,
                         target_clusters=index.target_clusters,
                         center_dists=self.center_dists)
-
-
-def plan_cache_info():
-    """Snapshot of this process's shared-plan cache (tests, debug)."""
-    with _plans_lock:
-        return {"entries": len(_plans), "keys": list(_plans)}
-
-
-def clear_plan_cache():
-    """Drop every cached shared plan in this process."""
-    with _plans_lock:
-        _plans.clear()
-        _build_locks.clear()
 
 
 def index_cache_info():

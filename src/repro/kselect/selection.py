@@ -1,13 +1,9 @@
 """k-smallest selection primitives.
 
-Two selection paths appear in the paper:
-
-* the CUBLAS-style baseline launches a second kernel where each thread
-  selects the k smallest of a query's |T| distances
-  (:func:`select_k_smallest`);
-* Sweet KNN's multi-thread-per-query mode ends with a merge of several
-  per-thread sorted heaps, "a technique similar to the one in merge
-  sort" (Section IV-B2) — :func:`merge_sorted_lists`.
+Sweet KNN's multi-thread-per-query mode ends with a merge of several
+per-thread sorted heaps, "a technique similar to the one in merge sort"
+(Section IV-B2) — :func:`merge_sorted_lists`.  The host baselines
+select their k smallest in :func:`repro.core.bounds.nearest_columns`.
 
 The partial level-2 filter also needs a selection over the surviving
 distances stored to global memory (:func:`select_k_from_pairs`).
@@ -19,27 +15,7 @@ import heapq
 
 import numpy as np
 
-__all__ = ["select_k_smallest", "merge_sorted_lists", "select_k_from_pairs"]
-
-
-def select_k_smallest(distances, k, indices=None):
-    """Return the k smallest distances (and their indices), ascending.
-
-    Mirrors the per-query selection kernel of the Garcia et al.
-    baseline.  Ties are broken by index for determinism.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    if indices is None:
-        indices = np.arange(distances.size, dtype=np.int64)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
-    k = min(int(k), distances.size)
-    if k <= 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    part = np.argpartition(distances, k - 1)[:k]
-    order = np.lexsort((indices[part], distances[part]))
-    chosen = part[order]
-    return distances[chosen], indices[chosen]
+__all__ = ["merge_sorted_lists", "select_k_from_pairs"]
 
 
 def merge_sorted_lists(lists, k):

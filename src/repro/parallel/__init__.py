@@ -9,9 +9,9 @@ results back in tile order:
 * :mod:`repro.parallel.shard` — :class:`ShardPlan` and the joint
   shard-count/tile-size decision (:func:`plan_shards`), plus the
   ``REPRO_WORKERS`` / ``REPRO_POOL`` resolution;
-* :mod:`repro.parallel.worker` — what runs inside a worker: shard
-  tasks plus the fingerprint-keyed prepared-state cache ("cluster once
-  per worker, reuse across shards and requests");
+* :mod:`repro.parallel.worker` — the one tile loop
+  (:func:`run_shard_task`): a worker's tiles against the Step-1 plan
+  the caller built once, shipped by value or as a zero-copy handle;
 * :mod:`repro.parallel.pool` — the process/thread/serial
   :class:`WorkerPool` and the shared-pool registry.
 
@@ -24,13 +24,11 @@ from .pool import WorkerPool, get_pool, shutdown_pools
 from .shard import (MIN_ROWS_PER_SHARD, POOL_ENV, POOL_KINDS, ShardPlan,
                     WORKERS_ENV, plan_shards, resolve_pool_kind,
                     resolve_workers)
-from .worker import (ShardJob, ShardOutcome, ShardTask, clear_prepared_cache,
-                     plan_cache_key, prepared_cache_info, run_shard_task)
+from .worker import ShardJob, ShardOutcome, ShardTask, run_shard_task
 
 __all__ = [
     "WorkerPool", "get_pool", "shutdown_pools",
     "ShardPlan", "plan_shards", "resolve_workers", "resolve_pool_kind",
     "WORKERS_ENV", "POOL_ENV", "POOL_KINDS", "MIN_ROWS_PER_SHARD",
     "ShardJob", "ShardTask", "ShardOutcome", "run_shard_task",
-    "plan_cache_key", "prepared_cache_info", "clear_prepared_cache",
 ]

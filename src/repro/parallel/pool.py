@@ -1,16 +1,19 @@
 """Worker pools: process-based fan-out with thread/serial fallbacks.
 
 A :class:`WorkerPool` wraps a ``concurrent.futures`` executor and runs
-:class:`~repro.parallel.worker.ShardTask`s.  The process pool uses the
-``fork`` start method where available, so workers inherit the engine
-registry (including test-registered engines) and imported modules;
-platforms without ``fork`` get the default start method, and if a
-process pool cannot be created at all the pool degrades to threads
-with a logged warning rather than failing the join.
+:class:`~repro.parallel.worker.ShardTask`s, each carrying the Step-1
+plan (or its zero-copy handle) the caller built once.  The process
+pool uses the ``fork`` start method where available, so workers
+inherit the engine registry (including test-registered engines) and
+imported modules; platforms without ``fork`` get the default start
+method, and if a process pool cannot be created at all the pool
+degrades to threads with a logged warning rather than failing the
+join.
 
 Pools are shared per ``(kind, workers)`` through :func:`get_pool` —
-executors are expensive to spin up, and a long-lived worker is what
-makes the worker-side prepared-state cache pay off across requests.
+executors are expensive to spin up, and a long-lived process worker
+keeps its mmap of a disk-backed index
+(:func:`~repro.index.cache.load_cached`) across requests.
 Every shared pool is shut down at interpreter exit.
 """
 

@@ -1,56 +1,46 @@
-"""Worker-side shard execution against shared prepared state.
+"""Shard execution: one worker's query tiles against shared Step-1 state.
 
-A :class:`ShardTask` is what travels to a pool worker: one shared
+A :class:`ShardTask` is what travels to a pool worker (or runs inline,
+for the serial pool and the executor's batched path): one shared
 :class:`ShardJob` (the join inputs) plus the list of query tiles that
-worker owns.  For prepared-index engines the worker resolves the shared
-Step-1 state — the :class:`~repro.core.ti_knn.JoinPlan` — through the
-process-level cache in :mod:`repro.index.cache`, keyed by the same
-content identity the serving layer's ``IndexStore`` uses, so each
-worker process materialises a given plan once and reuses it across
-shards *and* across requests.
+worker owns.  For prepared-index engines the job carries the Step-1
+state the caller built once — the :class:`~repro.core.ti_knn.JoinPlan`
+— and every tile runs against it through a ``query_subset``; workers
+never rebuild it.
 
 Zero-copy: when the execution runs against a disk-backed
-:class:`repro.index.Index`, the job carries a
+:class:`repro.index.Index` on a process pool, the job carries a
 :class:`~repro.index.cache.PlanHandle` — the index *directory path*
 plus its ``(fingerprint, version)`` identity and the query-side
-clusters — instead of the target arrays.  The worker reattaches the
-target side via ``np.load(..., mmap_mode="r")`` through the
-process-level index cache, so every worker shares one page-cache copy
-of the targets and the pickled payload is O(queries), not O(targets).
-
-Determinism: when no prebuilt plan or handle ships with the job, the
-worker rebuilds the plan with the caller's pickled ``numpy`` Generator.
-Pickling preserves the generator's exact state and
-``prepare_clusters`` is the only consumer of randomness in the
-pipeline, so every worker derives a bit-identical plan and every shard
-makes exactly the decisions the serial run would.
+clusters — instead of the plan and the target arrays.  The worker
+reattaches the target side via ``np.load(..., mmap_mode="r")`` through
+the process-level index cache, so every worker shares one page-cache
+copy of the targets and the pickled payload is O(queries), not
+O(targets).
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ShardJob", "ShardTask", "ShardOutcome", "run_shard_task",
-    "plan_cache_key", "prepared_cache_info", "clear_prepared_cache",
-]
+from .. import obs
+
+__all__ = ["ShardJob", "ShardTask", "ShardOutcome", "run_shard_task"]
 
 
 @dataclass(frozen=True)
 class ShardJob:
     """The per-join inputs shared by every shard of one execution.
 
-    Exactly one of three prepared-state transports applies in
-    ``"shared"`` mode: a :class:`~repro.index.cache.PlanHandle`
-    (disk-backed index, zero-copy), a prebuilt ``plan`` (in-memory
-    index, pickled by value), or neither (the worker rebuilds from
-    ``rng``).  With a handle the ``targets`` field ships as ``None``
-    and the worker derives the target matrix from the resolved plan.
+    In ``"shared"`` mode the job carries exactly one of ``plan`` (the
+    caller's JoinPlan, pickled by value) and ``handle`` (a
+    :class:`~repro.index.cache.PlanHandle` to a disk-backed index).
+    With a handle the ``targets`` field ships as ``None`` and the worker
+    derives the target matrix from the resolved plan.
     """
 
     engine: str
@@ -61,12 +51,8 @@ class ShardJob:
     rng: object = None
     device: object = None
     options: dict = field(default_factory=dict)
-    mq: object = None
-    mt: object = None
-    memory_budget_bytes: object = None
-    plan: object = None      # prebuilt JoinPlan, when the caller has one
+    plan: object = None      # the caller's JoinPlan
     handle: object = None    # PlanHandle, when the index is disk-backed
-    plan_key: str = None
     account_index: int = 0   # the one shard that accounts preparation
 
 
@@ -87,49 +73,7 @@ class ShardOutcome:
     stop: int
     result: object
     worker: str = ""
-    cache_hit: bool = False
     wall_s: float = 0.0
-
-
-def plan_cache_key(queries, targets, rng=None, mq=None, mt=None,
-                   memory_budget_bytes=None, plan=None, handle=None):
-    """Content fingerprint identifying one shared prepared state.
-
-    Two executions share a worker-side plan entry exactly when they
-    would build (or shipped) the same Step-1 state: same query and
-    target contents, same landmark knobs, and — when the plan is built
-    worker-side — the same generator state.  Prebuilt plans are pinned
-    by their landmark selections and centre-distance table, and handles
-    by the index's ``(fingerprint, version)`` identity, so two indexes
-    over identical data but different seeds (or update histories) stay
-    distinct.
-    """
-    from ..index import fingerprint_points
-
-    digest = hashlib.sha1()
-    digest.update(fingerprint_points(queries).encode())
-    if targets is not None:
-        digest.update(fingerprint_points(targets).encode())
-    digest.update(repr((mq, mt, memory_budget_bytes)).encode())
-    if handle is not None:
-        digest.update(b"handle")
-        digest.update(repr(handle.index_key).encode())
-        digest.update(np.ascontiguousarray(
-            handle.query_clusters.center_indices).tobytes())
-        digest.update(np.ascontiguousarray(handle.center_dists).tobytes())
-    elif plan is not None:
-        digest.update(b"prebuilt")
-        digest.update(np.ascontiguousarray(
-            plan.query_clusters.center_indices).tobytes())
-        digest.update(np.ascontiguousarray(
-            plan.target_clusters.center_indices).tobytes())
-        digest.update(np.ascontiguousarray(plan.center_dists).tobytes())
-    else:
-        digest.update(b"build")
-        state = (repr(rng.bit_generator.state) if rng is not None
-                 else "no-rng")
-        digest.update(state.encode())
-    return digest.hexdigest()
 
 
 def _worker_name():
@@ -141,77 +85,44 @@ def _worker_name():
     return threading.current_thread().name
 
 
-def _build_plan(job):
-    """Materialise the job's shared JoinPlan (runs once per key)."""
-    if job.handle is not None:
-        return job.handle.resolve()
-    if job.plan is not None:
-        return job.plan
-    from ..core.ti_knn import prepare_clusters
-
-    return prepare_clusters(
-        job.queries, job.targets, job.rng, mq=job.mq, mt=job.mt,
-        memory_budget_bytes=job.memory_budget_bytes)
-
-
 def run_shard_task(task):
     """Execute one worker's tiles; returns a list of ShardOutcomes.
 
-    Runs inside the pool worker (or inline for the serial pool).  The
-    engine call mirrors the executor's serial batched path exactly:
-    prepared-index engines get the shared plan plus a ``query_subset``,
+    Prepared-index engines get the job's plan plus a ``query_subset``,
     other engines get a plain row slice; preparation work is accounted
     on the job's designated shard only, so merged counters equal the
-    unbatched totals.
+    unbatched totals.  Each tile runs in an ``engine.batch`` span, which
+    is live when the task runs inline under the caller's tracer.
     """
     from ..engine.base import ExecutionContext
     from ..engine.registry import get_engine
-    from ..index.cache import shared_plan
 
     job = task.job
     spec = get_engine(job.engine)
     worker = _worker_name()
-    plan = None
-    cache_hit = False
+    plan = job.handle.resolve() if job.handle else job.plan
     targets = job.targets
-    if job.mode == "shared":
-        plan, cache_hit = shared_plan(job.plan_key,
-                                      lambda: _build_plan(job))
-        if targets is None:
-            # Handle-shipped job: the target matrix is the mmap-backed
-            # point set of the resolved plan, shared process-wide.
-            targets = plan.target_clusters.points
+    if targets is None:
+        # Handle-shipped job: the target matrix is the mmap-backed
+        # point set of the resolved plan, shared process-wide.
+        targets = plan.target_clusters.points
 
     outcomes = []
     for index, start, stop in task.shards:
         begin = time.perf_counter()
-        if job.mode == "shared":
-            ctx = ExecutionContext(
-                rng=job.rng, device=job.device, plan=plan,
-                query_subset=np.arange(start, stop),
-                account_prepare=(index == job.account_index))
-            result = spec.run(job.queries, targets, job.k, ctx,
-                              **job.options)
-        else:
-            ctx = ExecutionContext(rng=job.rng, device=job.device)
-            result = spec.run(job.queries[start:stop], targets, job.k,
-                              ctx, **job.options)
+        with obs.span("engine.batch", index=index, start=start, stop=stop):
+            if job.mode == "shared":
+                ctx = ExecutionContext(
+                    rng=job.rng, device=job.device, plan=plan,
+                    query_subset=np.arange(start, stop),
+                    account_prepare=(index == job.account_index))
+                result = spec.run(job.queries, targets, job.k, ctx,
+                                  **job.options)
+            else:
+                ctx = ExecutionContext(rng=job.rng, device=job.device)
+                result = spec.run(job.queries[start:stop], targets, job.k,
+                                  ctx, **job.options)
         outcomes.append(ShardOutcome(
             index=index, start=start, stop=stop, result=result,
-            worker=worker, cache_hit=cache_hit,
-            wall_s=time.perf_counter() - begin))
+            worker=worker, wall_s=time.perf_counter() - begin))
     return outcomes
-
-
-def prepared_cache_info():
-    """Snapshot of this process's prepared-state cache (tests, debug)."""
-    from ..index.cache import plan_cache_info
-
-    return plan_cache_info()
-
-
-def clear_prepared_cache():
-    """Drop every cached prepared state in this process."""
-    from ..index.cache import clear_plan_cache
-
-    clear_plan_cache()

@@ -22,23 +22,29 @@ def large_k_problem():
     return points
 
 
+#: k*4 > th2 -> kNearests in global memory; k/d = 64 > 8
+LARGE_K = 256
+
+
+@pytest.fixture(scope="module")
+def large_k_runs(large_k_problem):
+    """The two large-k ``sweet`` runs the tests below share: the
+    adaptive default and the forced full filter."""
+    return {force: knn_join(large_k_problem, large_k_problem, LARGE_K,
+                            method="sweet", seed=0,
+                            **({} if force is None
+                               else {"force_filter": force}))
+            for force in (None, "full")}
+
+
 class TestFilterStrengthTradeoff:
-    K = 256  # k*4 > th2 -> kNearests in global memory; k/d = 64 > 8
-
-    def test_adaptive_picks_partial(self, large_k_problem):
-        res = knn_join(large_k_problem, large_k_problem, self.K,
-                       method="sweet", seed=0)
-        assert res.stats.extra["filter"] == "partial"
+    def test_adaptive_picks_partial(self, large_k_runs):
+        assert large_k_runs[None].stats.extra["filter"] == "partial"
         # The forced-full run keeps a kNearests too big for registers.
-        full = knn_join(large_k_problem, large_k_problem, self.K,
-                        method="sweet", seed=0, force_filter="full")
-        assert full.stats.extra["placement"] == "global"
+        assert large_k_runs["full"].stats.extra["placement"] == "global"
 
-    def test_partial_beats_full_at_large_k(self, large_k_problem):
-        partial = knn_join(large_k_problem, large_k_problem, self.K,
-                           method="sweet", seed=0)
-        full = knn_join(large_k_problem, large_k_problem, self.K,
-                        method="sweet", seed=0, force_filter="full")
+    def test_partial_beats_full_at_large_k(self, large_k_runs):
+        partial, full = large_k_runs[None], large_k_runs["full"]
         assert partial.sim_time_s < full.sim_time_s
         # ... while computing more distances (weaker filtering).
         assert (partial.stats.level2_distance_computations
@@ -56,13 +62,9 @@ class TestFilterStrengthTradeoff:
         assert full.stats.extra["filter"] == "full"
         assert full.sim_time_s < partial.sim_time_s
 
-    def test_both_exact(self, large_k_problem):
-        oracle = knn_join(large_k_problem, large_k_problem, self.K,
+    def test_both_exact(self, large_k_problem, large_k_runs):
+        oracle = knn_join(large_k_problem, large_k_problem, LARGE_K,
                           method="brute")
-        for force in (None, "full"):
-            res = knn_join(large_k_problem, large_k_problem, self.K,
-                           method="sweet", seed=0,
-                           **({} if force is None
-                              else {"force_filter": force}))
+        for res in large_k_runs.values():
             np.testing.assert_array_equal(res.indices, oracle.indices)
             np.testing.assert_array_equal(res.distances, oracle.distances)

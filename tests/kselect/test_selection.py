@@ -4,40 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kselect import (merge_sorted_lists, select_k_from_pairs,
-                           select_k_smallest)
-
-
-class TestSelectKSmallest:
-    def test_basic(self):
-        dists, idx = select_k_smallest([5.0, 1.0, 3.0, 2.0], 2)
-        np.testing.assert_array_equal(dists, [1.0, 2.0])
-        np.testing.assert_array_equal(idx, [1, 3])
-
-    def test_k_larger_than_input(self):
-        dists, idx = select_k_smallest([2.0, 1.0], 5)
-        np.testing.assert_array_equal(dists, [1.0, 2.0])
-
-    def test_k_zero(self):
-        dists, idx = select_k_smallest([1.0], 0)
-        assert dists.size == 0 and idx.size == 0
-
-    def test_tie_broken_by_index(self):
-        dists, idx = select_k_smallest([1.0, 1.0, 1.0], 2)
-        np.testing.assert_array_equal(idx, [0, 1])
-
-    def test_custom_indices(self):
-        dists, idx = select_k_smallest([3.0, 1.0], 1, indices=[10, 20])
-        np.testing.assert_array_equal(idx, [20])
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e9,
-                              allow_nan=False), min_size=1, max_size=100),
-           st.integers(min_value=1, max_value=30))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_numpy_sort(self, values, k):
-        dists, _ = select_k_smallest(values, k)
-        expected = np.sort(values)[:min(k, len(values))]
-        np.testing.assert_allclose(dists, expected)
+from repro.kselect import merge_sorted_lists, select_k_from_pairs
 
 
 class TestMergeSortedLists:

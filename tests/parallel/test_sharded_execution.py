@@ -5,6 +5,10 @@ distances and work counters — not approximately, not reordered — at
 every worker count and for every pool kind.
 """
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,6 @@ from repro.errors import ValidationError
 from repro.obs import Tracer, use_tracer
 from repro.obs.funnel import funnel_from_stats
 from repro.parallel import shutdown_pools
-from repro.parallel.worker import clear_prepared_cache, prepared_cache_info
 
 #: Work counters that must sum exactly across shards (the same tuple
 #: the batched-execution tests assert over).
@@ -81,29 +84,54 @@ class TestShardDeterminism:
                                                   // 40)
 
 
-class TestWorkerCache:
-    def test_second_request_hits_prepared_cache(self, clustered_points):
-        clear_prepared_cache()
-        first = knn_join(clustered_points, clustered_points, 6,
-                         method="ti-cpu", seed=3, workers=2, pool="thread")
-        second = knn_join(clustered_points, clustered_points, 6,
-                          method="ti-cpu", seed=3, workers=2, pool="thread")
-        shards = second.stats.extra["shards"]
-        # Every shard of the repeat request reuses the cached Step-1
-        # state; the first request built it at most once per key.
-        assert second.stats.extra["shard_cache_hits"] == shards
-        assert first.stats.extra["shard_cache_hits"] >= shards - 1
-        info = prepared_cache_info()
-        assert info["entries"] >= 1
-
-    def test_sweetknn_prebuilt_plan_is_adopted(self, clustered_points):
-        clear_prepared_cache()
+class TestCallerBuildsStep1:
+    def test_sweetknn_sharded_equals_serial(self, clustered_points):
         index = SweetKNN(clustered_points, seed=3, method="ti-cpu")
         serial = index.query(clustered_points, k=6)
         sharded = index.query(clustered_points, k=6, workers=2,
                               pool="thread")
         _assert_identical(sharded, serial)
-        assert sharded.stats.extra["shard_cache_hits"] >= 1
+
+    @pytest.mark.parametrize("run", [
+        {"workers": 2, "pool": "serial"},
+        {"workers": 2, "pool": "thread"},
+        {"query_batch_size": 40},
+    ], ids=["serial-pool", "thread-pool", "batched"])
+    def test_prepare_runs_once_per_join_in_the_caller(
+            self, clustered_points, monkeypatch, run):
+        import repro.core.ti_knn as ti_knn
+
+        real = ti_knn.prepare_clusters
+        threads = []
+
+        def counted(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ti_knn, "prepare_clusters", counted)
+        serial = knn_join(clustered_points, clustered_points, 6,
+                          method="ti-cpu", seed=3)
+        # Two identical joins: each builds its own Step 1, once, on the
+        # calling thread; nothing outlives the call to be reused.
+        for _ in range(2):
+            del threads[:]
+            tiled = knn_join(clustered_points, clustered_points, 6,
+                             method="ti-cpu", seed=3, **run)
+            assert threads == [threading.current_thread()]
+            _assert_identical(tiled, serial)
+
+    def test_thread_pool_join_releases_its_targets(self, clustered_points):
+        # Content no other test uses, so no earlier join's state could
+        # stand in for this one's.
+        targets = np.random.default_rng(97).normal(
+            size=clustered_points.shape)
+        ref = weakref.ref(targets)
+        result = knn_join(clustered_points, targets, 6, method="ti-cpu",
+                          seed=3, workers=2, pool="thread")
+        assert result.stats.extra["shards"] >= 2
+        del targets
+        gc.collect()
+        assert ref() is None
 
 
 class TestObservability:
@@ -119,7 +147,6 @@ class TestObservability:
         assert len(shard_spans) == shards
         for span in shard_spans:
             assert "worker" in span.attributes
-            assert "cache_hit" in span.attributes
             assert span.attributes["stop"] > span.attributes["start"]
         assert len(tracer.finished_spans("engine.shard_fanout")) == 1
         assert len(tracer.finished_spans("engine.shard_merge")) == 1

@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from repro.baselines.brute_force import brute_force_knn
 from repro.cli import build_parser, main
+from repro.engine import EngineSpec, register, unregister
 from repro.native import cscan
 
 
@@ -65,6 +67,21 @@ class TestCommands:
                            "--check"])
         assert code == 0
         assert "exact vs brute force: True" in text
+
+    def test_check_rejects_a_distance_off_by_1e_6(self):
+        def nudged(queries, targets, k, ctx, **options):
+            result = brute_force_knn(queries, targets, k)
+            result.distances[0, -1] += 1e-6
+            return result
+
+        register(EngineSpec(name="nudged-brute", run=nudged))
+        try:
+            code, text = _run(["run", "--n", "200", "--dim", "6", "-k", "4",
+                               "--method", "nudged-brute", "--check"])
+        finally:
+            unregister("nudged-brute")
+        assert code == 1
+        assert "exact vs brute force: False" in text
 
     def test_run_cpu_method(self):
         code, text = _run(["run", "--n", "200", "--dim", "6", "-k", "4",
