@@ -14,7 +14,13 @@ separations and one weakly clustered set, d in {8, 29, 64, 128, 256,
 A crossover ``c`` routes a query dense when its estimate is at least
 ``c``; its cost on an index is the summed per-query cost of that
 routing over the cost of the per-query best.  The table reports each
-``c``'s geometric mean and maximum over the indexes.
+``c``'s geometric mean and maximum over the indexes.  A last table asks
+whether a crossover per d beats one constant: both are fitted on the
+even query rows of every index and scored on the odd ones.
+
+The queries join the index's landmarks (``Index.join_plan``), and each
+query's centre-distance row is the plan's, as ``ti_knn_join`` hands it to
+level 2.
 
 Run with one BLAS thread (needs the C kernel)::
 
@@ -107,7 +113,7 @@ def measure(kernel, dim, separation):
                 continue
             cand, ub = state.candidates[qc], state.bounds[qc]
             rows = center_distance_rows(batch[members], plan.target_clusters,
-                                        cand)
+                                        cand, plan.query_rows[members])
             all_rows[members] = rows
             for i, q in enumerate(members):
                 one = (batch[q:q + 1], rows[i:i + 1])
@@ -118,6 +124,32 @@ def measure(kernel, dim, separation):
                                              K)) / len(batch)
         out.extend((est, scan, row_s) for est, scan in per_query)
     return np.array(out)
+
+
+def _geomean_cost(tables, crossover):
+    rel = [np.where(t[:, 0] >= crossover, t[:, 2], t[:, 1]).sum()
+           / np.minimum(t[:, 1], t[:, 2]).sum() for t in tables]
+    return math.exp(np.mean(np.log(rel)))
+
+
+def held_out(tables):
+    """One crossover against one per d, each fitted on the even query
+    rows of every index and scored on the odd ones."""
+    dims = [dim for dim, _, _ in data_sets()]
+    fit = [t[0::2] for t in tables]
+    rest = [t[1::2] for t in tables]
+    one = min(CROSSOVERS, key=lambda c: _geomean_cost(fit, c))
+    per_d = {dim: min(CROSSOVERS, key=lambda c: _geomean_cost(
+        [t for t, d in zip(fit, dims) if d == dim], c))
+        for dim in sorted(set(dims))}
+    rel_one = [_geomean_cost([t], one) for t in rest]
+    rel_d = [_geomean_cost([t], per_d[d]) for t, d in zip(rest, dims)]
+    return ["", "held out (fitted on even query rows, scored on odd ones)",
+            "one crossover %-26s geomean cost %.3fx" % (
+                one, math.exp(np.mean(np.log(rel_one)))),
+            "per d %-34s geomean cost %.3fx" % (
+                " ".join("%d:%s" % item for item in per_d.items()),
+                math.exp(np.mean(np.log(rel_d))))]
 
 
 def main():
@@ -145,8 +177,9 @@ def main():
                / np.minimum(t[:, 1], t[:, 2]).sum() for t in tables]
         lines.append("%-10s %13.3fx %7.2fx" % (
             crossover, math.exp(np.mean(np.log(rel))), max(rel)))
+    lines += held_out(tables)
     OUT.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines[-len(CROSSOVERS) - 1:]))
+    print("\n".join(lines[-len(CROSSOVERS) - 5:]))
 
 
 if __name__ == "__main__":

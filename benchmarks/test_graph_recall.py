@@ -95,7 +95,7 @@ def _bench_one(name, targets, rng):
     curve = calibrate(graph, index, k=K, ef_grid=EF_SWEEP, n_probe=96)
 
     exact_rng = np.random.default_rng(2)
-    plan = index.join_plan(queries, rng=exact_rng)
+    plan = index.join_plan(queries)
     start = time.perf_counter()
     exact = ti_knn_join(queries, targets, K, exact_rng, plan=plan)
     exact_s = time.perf_counter() - start

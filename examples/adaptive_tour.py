@@ -15,6 +15,8 @@ import numpy as np
 from repro import knn_join, tesla_k20c
 
 DEVICE = tesla_k20c()
+#: Points in each of the first three scenarios.
+N = 2500
 
 
 def scenario(title, points, k, forced):
@@ -51,18 +53,18 @@ def main():
     # 1. Large k on low-dimensional data: k/d = 64 > 8, so the scheme
     #    weakens the level-2 filter (Table V's regime).
     scenario("1. partial filtering kicks in at large k/d",
-             clustered(2500, 4, rng), k=256,
+             clustered(N, 4, rng), k=256,
              forced={"force_filter": "full"})
 
     # 2. Tiny k: the kNearests array fits under th1 = 24 bytes, so it
     #    goes to shared memory.
     scenario("2. tiny kNearests lives in shared memory",
-             clustered(2500, 24, rng), k=6,
+             clustered(N, 24, rng), k=6,
              forced={"force_placement": "global"})
 
     # 3. Moderate k: registers (th1 < k*4 <= th2).
     scenario("3. moderate kNearests lives in registers",
-             clustered(2500, 24, rng), k=32,
+             clustered(N, 24, rng), k=32,
              forced={"force_placement": "global"})
 
     # 4. A small query set cannot fill the device with one thread per

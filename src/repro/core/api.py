@@ -134,8 +134,9 @@ class SweetKNN:
 
     The target-side preparation (landmark selection, clustering, the
     descending member sort) is done exactly once, at construction, in a
-    :class:`repro.index.Index`; every ``query`` call clusters only its
-    query points and reuses the prepared target side.
+    :class:`repro.index.Index`; every ``query`` call assigns its query
+    points to the index's own landmarks and reuses the prepared target
+    side.
     Execution plans are cached per ``(|Q|, k)`` shape, and the level-1
     bounds of a reused query batch are cached per ``k`` inside the
     shared :class:`~repro.core.ti_knn.JoinPlan`.
@@ -167,7 +168,7 @@ class SweetKNN:
         self.index = Index(targets, seed=seed, rng=self._rng, mt=mt,
                            memory_budget_bytes=budget)
         self._plans = {}       # (|Q|, k, mq, knobs, version) -> plan
-        self._join_plans = []  # [(query array, mq, version, JoinPlan)]
+        self._join_plans = []  # [(query array, version, JoinPlan)]
 
     @classmethod
     def from_index(cls, index, device=None, method="sweet", workers=None,
@@ -175,9 +176,9 @@ class SweetKNN:
         """Wrap an existing :class:`repro.index.Index` (e.g. one loaded
         from disk with ``Index.load``) without rebuilding anything.
 
-        The index's own landmark RNG keeps driving query-side landmark
-        selection, so a saved-and-loaded index answers queries
-        bit-identically to the instance that built it.
+        Queries join the index's own landmarks, so a saved-and-loaded
+        index answers queries bit-identically to the instance that
+        built it.
 
         Example
         -------
@@ -218,8 +219,8 @@ class SweetKNN:
         return self._plan_for(queries.shape[0], k, mq, options,
                               workers=self.workers, pool=self.pool)
 
-    def query(self, queries, k, mq=None, query_batch_size=None,
-              workers=None, pool=None, **options):
+    def query(self, queries, k, query_batch_size=None, workers=None,
+              pool=None, **options):
         """k nearest prepared targets of each query point.
 
         ``workers``/``pool`` override the index-level defaults set at
@@ -229,11 +230,15 @@ class SweetKNN:
         if "mt" in options:
             raise ValidationError(
                 "mt is fixed when the index is built; pass it to SweetKNN()")
+        if "mq" in options:
+            raise ValidationError(
+                "mq is not an option of a prepared index: queries join "
+                "its own landmarks")
         queries, targets, k = _validate(queries, self.targets, k)
         workers = workers if workers is not None else self.workers
         pool = pool if pool is not None else self.pool
-        join_plan = self._join_plan_for(queries, mq)
-        exec_plan = self._plan_for(queries.shape[0], k, mq, options,
+        join_plan = self._join_plan_for(queries)
+        exec_plan = self._plan_for(queries.shape[0], k, None, options,
                                    workers=workers, pool=pool)
         sharding = exec_plan.sharding
         if query_batch_size is not None:
@@ -289,8 +294,8 @@ class SweetKNN:
             self._plans[key] = plan
         return plan
 
-    def _join_plan_for(self, queries, mq):
-        """Cluster the query side against the prepared targets.
+    def _join_plan_for(self, queries):
+        """Step 1 of the queries on the prepared targets.
 
         Identity-cached: querying with the same array object again (a
         fixed probe set, or ``self_join``) reuses the query clustering
@@ -300,11 +305,11 @@ class SweetKNN:
         # A plan of an earlier version can never be hit again, and it
         # holds that version's clustered target set: drop it.
         self._join_plans = [entry for entry in self._join_plans
-                            if entry[2] == version]
-        for cached_queries, cached_mq, _, cached_plan in self._join_plans:
-            if cached_queries is queries and cached_mq == mq:
+                            if entry[1] == version]
+        for cached_queries, _, cached_plan in self._join_plans:
+            if cached_queries is queries:
                 return cached_plan
-        join_plan = self.index.join_plan(queries, mq=mq)
-        self._join_plans.append((queries, mq, version, join_plan))
+        join_plan = self.index.join_plan(queries)
+        self._join_plans.append((queries, version, join_plan))
         del self._join_plans[:-_JOIN_PLAN_CACHE_SIZE]
         return join_plan

@@ -31,7 +31,8 @@ import numpy as np
 
 __all__ = [
     "euclidean", "euclidean_many", "pairwise_distances", "pair_distances",
-    "expanded_sq_distances", "nearest_columns", "masked_nearest_columns",
+    "expanded_sq_distances", "banded_distances", "nearest_columns",
+    "masked_nearest_columns",
     "lb_one_landmark", "ub_one_landmark",
     "lb_two_landmarks", "ub_two_landmarks",
     "distance_flops",
@@ -141,6 +142,50 @@ def expanded_sq_distances(a, b):
         return None, None
     return (_expanded_block(a, a_sq, b, b_sq),
             _expansion_error(a_sq, b_sq.max(), a.shape[1]))
+
+
+def banded_distances(a, b, b_sq, band):
+    """Every ``(a, b)`` distance from one GEMM, each within
+    ``band·(D + 1)`` of its direct form.
+
+    ``D`` is the matrix's own entry and ``b_sq`` are ``b``'s squared
+    norms (cached by the caller).  An entry is ``fl(√max(ĝ, 0))`` unless
+    its forward-error half-width (``docs/INDEX.md``) exceeds
+    ``band·(D + 1)``; such entries, and every entry when the bound
+    cannot be trusted, are recomputed by :func:`pair_distances`.
+
+    Returns ``(distances, recomputed)``: the ``(|A|, |B|)`` matrix and
+    the number of recomputed entries.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n_a, dim = a.shape
+    n_b = b.shape[0]
+    a_sq = _sq_norms(a)
+    # A maximum of squared norms is finite only if every one is.
+    a_max, b_max = a_sq.max(initial=0.0), b_sq.max(initial=0.0)
+    if not (dim < _DIM_LIMIT and np.isfinite(a_max) and np.isfinite(b_max)
+            and max(a_max, b_max) <= _SQ_NORM_LIMIT):
+        rows, cols = np.divmod(np.arange(n_a * n_b), n_b)
+        dists = pair_distances(a, b, rows, cols).reshape(n_a, n_b)
+        return dists, n_a * n_b
+    g = _expanded_block(a, a_sq, b, b_sq)
+    err = _expansion_error(a_sq, b_max, dim)[:, None]
+    np.maximum(g, 0.0, out=g)
+    dists = np.sqrt(g)
+    # |√ĝ − √ŝ| is at most √e, and at most e / (√ĝ + √(ĝ − e)); the two
+    # roots' own roundings add ε·D, the bound's evaluation the factor.
+    g -= err
+    np.maximum(g, 0.0, out=g)
+    np.sqrt(g, out=g)
+    g += dists
+    with np.errstate(divide="ignore"):
+        half = np.minimum(np.sqrt(err), err / g)
+    half += _EPS * dists
+    half *= 1.0 + 8.0 * _EPS
+    rows, cols = np.nonzero(~(half <= band * (dists + 1.0)))
+    if rows.size:
+        dists[rows, cols] = pair_distances(a, b, rows, cols)
+    return dists, int(rows.size)
 
 
 def nearest_columns(a, b, k):

@@ -40,7 +40,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..kselect import select_k_from_pairs
-from .bounds import euclidean
+from .bounds import banded_distances, euclidean
 from .memo import IdentityMemo
 from .predicates import CollectAccumulator, TopKAccumulator
 
@@ -48,7 +48,8 @@ __all__ = [
     "cluster_upper_bounds", "level1_filter", "point_scan",
     "point_filter_full", "point_filter_partial", "ScanTrace",
     "SCAN_COUNTERS", "trace_counters", "tail_bound_matrix",
-    "bound_comparison_tol", "center_distance_rows",
+    "bound_comparison_tol", "center_distance_rows", "center_matrix",
+    "center_sq_norms", "CENTER_BAND",
 ]
 
 #: Relative slack for the level-2 bound comparisons.  ``theta`` descends
@@ -60,11 +61,25 @@ __all__ = [
 #: widens the examined set, so exactness is preserved.
 BOUND_COMPARISON_RTOL = 1e-12
 
+#: How far a GEMM-form centre distance ``D`` may sit from its direct
+#: form: ``CENTER_BAND·(D + 1)``, half of the level-2 comparison slack
+#: of every test that reads it (:func:`bound_comparison_tol`), whose
+#: other half still covers the direct form's own rounding.  Entries the
+#: forward-error bound cannot place inside are recomputed in the direct
+#: form (:func:`~repro.core.bounds.banded_distances`); level 1, which
+#: has no slack, widens each entry by the band itself.
+CENTER_BAND = BOUND_COMPARISON_RTOL / 2
+
 #: Chunk budget (in float64 elements, ~32 MB) for the batched ``calUB``
 #: pooling intermediate in :func:`cluster_upper_bounds`.
 _POOL_CHUNK_ELEMS = 4_000_000
 
+#: Up to this many pooled bounds, ``calUB`` pools every target cluster:
+#: narrowing the pool first costs more than it saves.
+_SMALL_POOL_ELEMS = 2 ** 16
+
 _tails_memo = IdentityMemo()     # ClusteredSet -> {k: tail-bound matrix}
+_centers_memo = IdentityMemo()   # ClusteredSet -> centre norms, C x C
 
 
 def bound_comparison_tol(q2tc, ub):
@@ -94,6 +109,41 @@ def tail_bound_matrix(target_clusters, k):
                            lambda: _tail_bounds(target_clusters, k), key=k)
 
 
+def center_sq_norms(target_clusters):
+    """Read-only squared norms of the target centres, once per clustered
+    set."""
+    return _centers_memo.get(target_clusters,
+                             lambda: _read_only(np.einsum(
+                                 "ij,ij->i", target_clusters.centers,
+                                 target_clusters.centers)), key="sq")
+
+
+def center_matrix(target_clusters):
+    """Read-only C x C centre-to-centre distances in the GEMM form, each
+    within :data:`CENTER_BAND` of its direct form, once per clustered
+    set (so once per index version)."""
+    def compute():
+        centers = target_clusters.centers
+        dists, _ = banded_distances(centers, centers,
+                                    center_sq_norms(target_clusters),
+                                    CENTER_BAND)
+        return _read_only(dists)
+
+    return _centers_memo.get(target_clusters, compute, key="matrix")
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _widened(center_dists, band, sign):
+    """``center_dists`` moved by ``sign`` times their band."""
+    if not band:
+        return center_dists
+    return center_dists + sign * band * (center_dists + 1.0)
+
+
 def _tail_bounds(ct, k):
     tails = np.full((ct.n_clusters, k), np.inf, dtype=np.float64)
     sizes = ct.cluster_sizes()
@@ -114,7 +164,7 @@ def _tail_bounds(ct, k):
 
 
 def cluster_upper_bounds(query_clusters, target_clusters, center_dists, k,
-                         tails=None):
+                         tails=None, band=0.0):
     """``calUB`` for every query cluster at once.
 
     For query cluster i and target cluster j, ``getUBs`` returns
@@ -122,6 +172,8 @@ def cluster_upper_bounds(query_clusters, target_clusters, center_dists, k,
     applied to the query farthest from its centre and the k targets
     closest to theirs).  Pooling over j and taking the k-th smallest
     gives a value no smaller than any member's k-th NN distance.
+    Centre distances within ``band·(D + 1)`` of their direct form (see
+    :data:`CENTER_BAND`) are read at the top of that band.
 
     Returns
     -------
@@ -133,25 +185,45 @@ def cluster_upper_bounds(query_clusters, target_clusters, center_dists, k,
     k = int(k)
     mq = query_clusters.n_clusters
     radius_q = np.asarray(query_clusters.radius, dtype=np.float64)
-    center_dists = np.asarray(center_dists, dtype=np.float64)
-    pooled_per_qc = tails.size  # |CT| * k candidate bounds per query cluster
+    center_dists = _widened(np.asarray(center_dists, dtype=np.float64),
+                            band, 1.0)
+    n_t = tails.shape[0]
     ubs = np.empty(mq, dtype=np.float64)
-    # Batched over query clusters, in chunks that keep the pooled
-    # (rows, |CT|, k) intermediate under a fixed footprint.
-    chunk = max(1, int(_POOL_CHUNK_ELEMS // max(1, pooled_per_qc)))
+    if k >= tails.size or mq * tails.size <= _SMALL_POOL_ELEMS:
+        pooled = (radius_q[:, None, None] + center_dists[:, :, None]
+                  + tails[None, :, :]).reshape(mq, -1)
+        if k >= tails.size:
+            return pooled.max(axis=1)
+        return np.partition(pooled, k - 1, axis=1)[:, k - 1]
+    # One target cluster with k members bounds the k-th smallest pooled
+    # value from above (``reach``), so only the clusters whose smallest
+    # pooled value (``heads``) is within it can hold the k smallest: the
+    # pool is built over the ``width`` clusters with the smallest heads,
+    # which include them all, in chunks that keep the pooled
+    # (rows, width, k) intermediate under a fixed footprint.
+    near = radius_q[:, None] + center_dists
+    heads = near + tails[:, 0]
+    reach = (near + tails[:, k - 1]).min(axis=1)
+    widths = np.count_nonzero(heads <= reach[:, None], axis=1)
+    chunk = max(1, _POOL_CHUNK_ELEMS // (int(widths.max(initial=1)) * k))
     for start in range(0, mq, chunk):
         stop = min(start + chunk, mq)
-        pooled = (radius_q[start:stop, None, None]
-                  + center_dists[start:stop, :, None]
-                  + tails[None, :, :]).reshape(stop - start, -1)
-        if k < pooled_per_qc:
-            ubs[start:stop] = np.partition(pooled, k - 1, axis=1)[:, k - 1]
+        width = max(1, int(widths[start:stop].max()))
+        if width < n_t:
+            cols = np.argpartition(heads[start:stop], width - 1,
+                                   axis=1)[:, :width]
+            pooled = (np.take_along_axis(near[start:stop], cols,
+                                         axis=1)[:, :, None]
+                      + tails[cols])
         else:
-            ubs[start:stop] = pooled.max(axis=1)
+            pooled = near[start:stop, :, None] + tails[None, :, :]
+        ubs[start:stop] = np.partition(pooled.reshape(stop - start, -1),
+                                       k - 1, axis=1)[:, k - 1]
     return ubs
 
 
-def level1_filter(query_clusters, target_clusters, center_dists, ubs):
+def level1_filter(query_clusters, target_clusters, center_dists, ubs,
+                  band=0.0):
     """``groupFilter`` (Algorithm 1) for every query cluster.
 
     A target cluster j survives for query cluster i when the
@@ -164,9 +236,11 @@ def level1_filter(query_clusters, target_clusters, center_dists, ubs):
     (The paper's pseudo-code uses a strict ``<``; we keep
     exact ties, which is required for exactness on degenerate inputs
     where the bound and the k-th distance coincide, e.g. duplicated
-    points.)  Survivors are sorted by ascending centre distance (the
-    ``S.sort()`` of ``pointFilter``), which both tightens ``theta``
-    fast and is what the level-2 kernels expect.
+    points.)  Centre distances within ``band·(D + 1)`` of their direct
+    form are read at the bottom of that band.  Survivors are sorted by
+    ascending centre distance, ties by index (the ``S.sort()`` of
+    ``pointFilter``), which both tightens ``theta`` fast and is what
+    the level-2 kernels expect.
 
     Returns
     -------
@@ -177,22 +251,19 @@ def level1_filter(query_clusters, target_clusters, center_dists, ubs):
     radius_t = np.asarray(target_clusters.radius, dtype=np.float64)
     sizes = target_clusters.cluster_sizes()
     center_dists = np.asarray(center_dists, dtype=np.float64)
-    # All |CQ| x |CT| pairs at once: the per-cluster Python loop this
-    # replaces computed the same lower bounds row by row.  Dropped pairs
-    # are masked to inf so a single stable argsort along axis 1 yields,
-    # per row, the survivors in ascending centre distance followed by
-    # the masked columns — exactly ``keep[argsort(cd[keep])]`` because
-    # a stable sort preserves index order among equal (inf) keys.
+    # All |CQ| x |CT| pairs at once, and one sort of the survivors.
     bounds = np.asarray(ubs, dtype=np.float64)
     if bounds.ndim == 1:
         bounds = bounds[:, None]
-    lbs = center_dists - radius_q[:, None] - radius_t[None, :]
+    lbs = (_widened(center_dists, band, -1.0) - radius_q[:, None]
+           - radius_t[None, :])
     keep = (lbs <= bounds) & (sizes > 0)[None, :]
-    masked = np.where(keep, center_dists, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
-    counts = keep.sum(axis=1)
-    return [order[qc, :counts[qc]].copy()
-            for qc in range(query_clusters.n_clusters)]
+    rows, cols = np.nonzero(keep)
+    # ``nonzero`` lists each row's columns in index order and the sort is
+    # stable, so equal centre distances keep index order.
+    cols = cols[np.lexsort((center_dists[rows, cols], rows))]
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [cols[start:end] for start, end in zip([0] + ends, ends)]
 
 
 # ----------------------------------------------------------------------
@@ -360,18 +431,24 @@ def point_filter_partial(query_point, query_index, target_clusters,
     return dists, idx, trace
 
 
-def center_distance_rows(query_points, target_clusters, candidate_ids):
+def center_distance_rows(query_points, target_clusters, candidate_ids,
+                         rows=None):
     """Distances from each query to each candidate cluster's centre.
 
-    Batched form of Algorithm 2 line 6 for one query cluster: one
-    (n_active, |candidates|) einsum replaces a per-query
-    ``euclidean_many`` call, bit-for-bit (same subtraction and
-    reduction per element).  Non-candidate columns stay NaN.
+    Batched form of Algorithm 2 line 6 for one query cluster, as an
+    (n_active, |CT|) array whose non-candidate columns stay NaN.  The
+    entries are ``rows``' own (the queries' full rows, when the plan
+    holds them), else one GEMM of the queries against the candidate
+    centres; either way each is within :data:`CENTER_BAND` of its direct
+    form (:func:`~repro.core.bounds.banded_distances`).
     """
-    rows = np.full((len(query_points), target_clusters.n_clusters), np.nan)
+    out = np.full((len(query_points), target_clusters.n_clusters), np.nan)
     if candidate_ids.size:
-        diff = (target_clusters.centers[candidate_ids][None, :, :]
-                - query_points[:, None, :])
-        rows[:, candidate_ids] = np.sqrt(
-            np.einsum("ijk,ijk->ij", diff, diff))
-    return rows
+        if rows is None:
+            out[:, candidate_ids], _ = banded_distances(
+                query_points, target_clusters.centers[candidate_ids],
+                center_sq_norms(target_clusters)[candidate_ids],
+                CENTER_BAND)
+        else:
+            out[:, candidate_ids] = rows[:, candidate_ids]
+    return out

@@ -3,7 +3,9 @@
 Index state that depends only on an installed target clustering is
 computed once per object, not once per call: the flat layout
 (:func:`repro.native.layout.flat_targets`), the tail-bound matrix
-(:func:`repro.core.filters.tail_bound_matrix`), the cluster sizes
+(:func:`repro.core.filters.tail_bound_matrix`), the centre norms and
+C x C centre matrix (:func:`repro.core.filters.center_matrix`), the
+cluster sizes
 (:meth:`repro.core.clustering.ClusteredSet.cluster_sizes`) and the C
 kernel's pointer layout (:class:`repro.native.cscan.BoundScan`).
 

@@ -260,9 +260,11 @@ class TopKPredicate:
         from .filters import cluster_upper_bounds, level1_filter
 
         ubs = cluster_upper_bounds(plan.query_clusters, plan.target_clusters,
-                                   plan.center_dists, self.k)
+                                   plan.center_dists, self.k,
+                                   band=plan.center_band)
         candidates = level1_filter(plan.query_clusters, plan.target_clusters,
-                                   plan.center_dists, ubs)
+                                   plan.center_dists, ubs,
+                                   band=plan.center_band)
         return Level1State(bounds=ubs, candidates=candidates)
 
     def accumulator(self, state, qc):
@@ -288,7 +290,8 @@ class EpsilonRangePredicate:
 
         bounds = np.full(plan.mq, self.eps, dtype=np.float64)
         candidates = level1_filter(plan.query_clusters, plan.target_clusters,
-                                   plan.center_dists, bounds)
+                                   plan.center_dists, bounds,
+                                   band=plan.center_band)
         return Level1State(bounds=bounds, candidates=candidates)
 
     def accumulator(self, state, qc):
@@ -326,7 +329,8 @@ class ReverseKNNPredicate:
              for members in ct.members], dtype=np.float64)
         candidates = level1_filter(plan.query_clusters, ct,
                                    plan.center_dists,
-                                   cluster_bounds[None, :])
+                                   cluster_bounds[None, :],
+                                   band=plan.center_band)
         top = float(cluster_bounds.max()) if cluster_bounds.size else 0.0
         return Level1State(bounds=np.full(plan.mq, top, dtype=np.float64),
                            candidates=candidates, kdist=kdist,

@@ -8,7 +8,9 @@ the source of the filtering-decision counters.
 
 Use :func:`ti_knn_join` for the end-to-end join, or
 :func:`prepare_clusters` to reuse the Step-1 state across runs (the
-sensitivity benches sweep k over fixed clusters).  ``ti_knn_join`` is
+sensitivity benches sweep k over fixed clusters).
+:func:`landmark_plan` is Step 1 of a prepared index: the queries join
+the target side's own landmarks.  ``ti_knn_join`` is
 also the one driver of every host TI engine: the flat tier
 (:mod:`repro.native.engine`) and the predicate joins
 (:mod:`repro.core.joins`) pass it their own :class:`Level2` stage.
@@ -22,15 +24,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine.base import EngineCaps, EngineSpec
-from .clustering import center_distances, cluster_points
-from .filters import (SCAN_COUNTERS, center_distance_rows,
-                      point_filter_full, trace_counters)
+from .bounds import _BLOCK_ELEMS, banded_distances, pair_distances
+from .clustering import ClusteredSet, center_distances, cluster_points
+from .filters import (CENTER_BAND, SCAN_COUNTERS, center_distance_rows,
+                      center_matrix, center_sq_norms, point_filter_full,
+                      trace_counters)
 from .landmarks import determine_landmark_count, select_landmarks_random_spread
 from .predicates import TopKPredicate
 from .result import JoinStats, KNNResult
 
-__all__ = ["JoinPlan", "prepare_clusters", "ti_knn_join", "TIJoin", "Level2",
-           "TopKScan", "ENGINE"]
+__all__ = ["JoinPlan", "prepare_clusters", "landmark_plan", "ti_knn_join",
+           "TIJoin", "Level2", "TopKScan", "ENGINE"]
+
+#: Largest |Q| x |CT| row matrix a landmark plan keeps (32 MB); the
+#: rows of a larger call are computed per query cluster instead.
+_PLAN_ROW_ELEMS = 2 ** 22
 
 
 @dataclass
@@ -39,12 +47,20 @@ class JoinPlan:
 
     Holds the clustered query/target sets and the centre-distance
     matrix; the level-1 bounds and candidate lists of each predicate
-    are computed once and cached (:meth:`level1_for`).
+    are computed once and cached (:meth:`level1_for`).  ``center_band``
+    is the band (:data:`~repro.core.filters.CENTER_BAND`) of GEMM-form
+    centre distances, 0 for direct-form ones; ``query_rows``, when
+    present, are every query's distances to every target centre, the
+    level-2 centre rows; ``recomputed`` counts the entries of both that
+    building the plan recomputed in the direct form.
     """
 
     query_clusters: object
     target_clusters: object
     center_dists: np.ndarray
+    center_band: float = 0.0
+    query_rows: np.ndarray = None
+    recomputed: int = 0
     _level1_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -125,6 +141,99 @@ def prepare_clusters(queries, targets, rng, mq=None, mt=None,
     return JoinPlan(query_clusters=query_clusters,
                     target_clusters=target_clusters,
                     center_dists=cdist)
+
+
+def landmark_plan(queries, target_clusters):
+    """Step 1 of a prepared index: the queries join its landmarks.
+
+    One blocked GEMM of the queries against the target centres
+    (:func:`~repro.core.bounds.banded_distances`) gives every query's
+    row of centre distances, and a query joins the target cluster of
+    its row's smallest entry.  The query clusters are the occupied
+    target clusters, in id order.  Each one's radius is the largest
+    direct-form distance of a member to its centre, and its centre
+    distances are its row of the index's C x C centre matrix
+    (:func:`~repro.core.filters.center_matrix`).  A cluster of one
+    query keeps the query as its own landmark: radius 0, its own row
+    as centre distances, and its index as ``center_indices`` (-1 for a
+    target landmark).  The rows are also the plan's level-2 centre rows
+    unless the call holds more than :data:`_PLAN_ROW_ELEMS` of them.
+    """
+    ct = target_clusters
+    n = queries.shape[0]
+    m = ct.n_clusters
+    centers = ct.centers
+    sq = center_sq_norms(ct)
+    rows = np.empty((n, m)) if n * m <= _PLAN_ROW_ELEMS else None
+    nearest = np.empty(n, dtype=np.int64)
+    recomputed = 0
+    block = max(1, _BLOCK_ELEMS // m)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        dists, count = banded_distances(queries[start:stop], centers, sq,
+                                        CENTER_BAND)
+        recomputed += count
+        nearest[start:stop] = dists.argmin(axis=1)
+        if rows is not None:
+            rows[start:stop] = dists
+
+    if n == 1:
+        # A serving call's common case, built without the grouping
+        # below: the lone query is its own landmark, radius 0, its row
+        # as its centre distances.
+        zero = np.zeros(1, dtype=np.int64)
+        query_clusters = ClusteredSet(
+            points=queries, center_indices=zero, centers=queries.copy(),
+            assignment=zero, dist_to_center=np.zeros(1), members=[zero],
+            member_dists=[np.zeros(1)], radius=np.zeros(1),
+            init_distance_computations=m)
+        return JoinPlan(query_clusters=query_clusters, target_clusters=ct,
+                        center_dists=rows.copy(), center_band=CENTER_BAND,
+                        query_rows=rows, recomputed=recomputed)
+    order = np.argsort(nearest, kind="stable")
+    first = np.ones(n, dtype=bool)
+    first[1:] = nearest[order[1:]] != nearest[order[:-1]]
+    starts = np.flatnonzero(first)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = np.cumsum(first) - 1
+    occupied = nearest[order[starts]]
+    bounds_at = np.append(starts, n)
+    single = np.diff(bounds_at) == 1
+    alone = order[starts[single]]
+    # Only members of a cluster of two or more queries are off their
+    # landmark; a lone query is its own, at distance 0.
+    dist_to_center = np.zeros(n)
+    grouped = np.flatnonzero(~single[assignment])
+    if grouped.size:
+        dist_to_center[grouped] = pair_distances(queries, centers, grouped,
+                                                 nearest[grouped])
+    sorted_dists = dist_to_center[order]
+    radius = np.maximum.reduceat(sorted_dists, starts)
+    spans = list(zip(bounds_at[:-1].tolist(), bounds_at[1:].tolist()))
+
+    q_centers = centers[occupied]
+    q_centers[single] = queries[alone]
+    center_indices = np.full(occupied.size, -1, dtype=np.int64)
+    center_indices[single] = alone
+    if single.all():
+        cdist = np.empty((occupied.size, m))
+    else:
+        cdist = center_matrix(ct)[occupied]
+    if rows is not None:
+        cdist[single] = rows[alone]
+    elif alone.size:
+        cdist[single], count = banded_distances(queries[alone], centers, sq,
+                                                CENTER_BAND)
+        recomputed += count
+    query_clusters = ClusteredSet(
+        points=queries, center_indices=center_indices, centers=q_centers,
+        assignment=assignment, dist_to_center=dist_to_center,
+        members=[order[a:b] for a, b in spans],
+        member_dists=[sorted_dists[a:b] for a, b in spans],
+        radius=radius, init_distance_computations=n * m)
+    return JoinPlan(query_clusters=query_clusters, target_clusters=ct,
+                    center_dists=cdist, center_band=CENTER_BAND,
+                    query_rows=rows, recomputed=recomputed)
 
 
 @dataclass
@@ -283,6 +392,7 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
     local_row[active] = np.arange(len(active))
 
     cq, ct = plan.query_clusters, plan.target_clusters
+    query_rows = plan.query_rows
     stats = JoinStats(
         n_queries=len(active), n_targets=len(targets), k=level2.k,
         dim=queries.shape[1], mq=plan.mq, mt=plan.mt,
@@ -307,10 +417,11 @@ def ti_knn_join(queries, targets, k, rng, mq=None, mt=None, plan=None,
             cluster_pairs = int(target_sizes[cand].sum()) if cand.size else 0
             stats.level1_survivor_pairs += cluster_pairs * int(scanned.size)
             # Algorithm 2 line 6 computes the query-to-centre distances
-            # inside the scan; precomputing the rows — batched over every
-            # active member of this cluster — keeps the counters identical
-            # while letting numpy do the arithmetic once per cluster.
-            rows = center_distance_rows(queries[scanned], ct, cand)
+            # inside the scan; the rows come batched instead: from the
+            # plan's GEMM, or one GEMM over this cluster's active members.
+            rows = center_distance_rows(
+                queries[scanned], ct, cand,
+                None if query_rows is None else query_rows[scanned])
             yield qc, scanned, rows, cand, state.bounds[qc]
 
     join = TIJoin(queries=queries, plan=plan, state=state, active=active,

@@ -222,7 +222,9 @@ def _execute(spec, queries, targets, k, rng=None, device=None,
             handle = PlanHandle(index_path=index.source_path,
                                 index_key=index.key,
                                 query_clusters=plan.query_clusters,
-                                center_dists=plan.center_dists)
+                                center_dists=plan.center_dists,
+                                center_band=plan.center_band,
+                                query_rows=plan.query_rows)
             plan = None
     else:
         mode, plan = "slice", None

@@ -45,6 +45,7 @@ import os
 import numpy as np
 
 from .. import obs
+from ..core.landmarks import LANDMARK_TRIALS, determine_landmark_count
 from ..errors import ValidationError
 from . import storage
 
@@ -418,6 +419,16 @@ def _entry_points(index, node_ids, points):
         [positions, [centroid_near]])).astype(np.int64)
 
 
+def _skip_landmark_draws(rng, n, memory_budget_bytes):
+    """Draw from ``rng`` what a query-side landmark pick over ``n``
+    points draws, so a ``(seed, fingerprint)`` key builds the same graph
+    as when the bootstrap's Step 1 picked its own landmarks."""
+    m = determine_landmark_count(n, memory_budget_bytes)
+    if m < n:
+        for _ in range(LANDMARK_TRIALS):
+            rng.choice(n, size=m, replace=False)
+
+
 def _bootstrap_exact(index, points, node_ids, sample_positions, kg, rng):
     """Exact TI neighbours for the sampled nodes, as graph positions.
 
@@ -431,7 +442,8 @@ def _bootstrap_exact(index, points, node_ids, sample_positions, kg, rng):
     m = len(node_ids)
     k_exact = min(kg + 1, m)
     sample_points = np.ascontiguousarray(points[sample_positions])
-    plan = index.join_plan(sample_points, rng=rng)
+    plan = index.join_plan(sample_points)
+    _skip_landmark_draws(rng, len(sample_points), index.memory_budget_bytes)
     result = ti_knn_join(sample_points, np.asarray(index.targets), k_exact,
                          rng, plan=plan, level2=FlatScan(k_exact))
     positions = np.searchsorted(node_ids, result.indices)

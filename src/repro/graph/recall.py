@@ -159,12 +159,9 @@ def calibrate(graph, index, k=10, ef_grid=DEFAULT_EF_GRID, n_probe=64,
     if k < 1:
         raise ValidationError("k must be positive")
     probes = probe_queries(index, n_probe, graph.seed, graph.fingerprint)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        [int(graph.seed) & (2 ** 63 - 1),
-         int(graph.fingerprint[:16], 16), 0xE5AC]))
-    plan = index.join_plan(probes, rng=rng)
+    plan = index.join_plan(probes)
     k_exact = min(k, index.n_active)
-    exact = ti_knn_join(probes, np.asarray(index.targets), k_exact, rng,
+    exact = ti_knn_join(probes, np.asarray(index.targets), k_exact, None,
                         plan=plan, level2=FlatScan(k_exact))
 
     dead = index.tombstones if index.n_tombstones else None

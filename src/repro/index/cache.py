@@ -87,6 +87,8 @@ class PlanHandle:
     index_key: tuple          # (fingerprint, version)
     query_clusters: object    # ClusteredSet of the query batch
     center_dists: object      # |CQ| x |CT| centre-distance matrix
+    center_band: float = 0.0  # JoinPlan.center_band
+    query_rows: object = None  # |Q| x |CT| level-2 centre rows, if kept
 
     def resolve(self):
         """Load (or reuse) the target side and assemble the JoinPlan."""
@@ -95,7 +97,9 @@ class PlanHandle:
         index = load_cached(self.index_path, expect_key=self.index_key)
         return JoinPlan(query_clusters=self.query_clusters,
                         target_clusters=index.target_clusters,
-                        center_dists=self.center_dists)
+                        center_dists=self.center_dists,
+                        center_band=self.center_band,
+                        query_rows=self.query_rows)
 
 
 def index_cache_info():

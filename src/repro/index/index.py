@@ -16,8 +16,8 @@ lifecycle:
   clusters, refresh radii and bump ``version``; an
   :class:`UpdatePolicy` triggers a full deterministic rebuild when
   tombstones or cluster growth degrade the filter;
-* **query** — :meth:`join_plan` clusters a query batch against the
-  prepared target side, yielding the
+* **query** — :meth:`join_plan` assigns a query batch to the prepared
+  target side's own landmarks, yielding the
   :class:`~repro.core.ti_knn.JoinPlan` every TI engine executes.
 
 Identity for caches is the ``(fingerprint, version)`` pair
@@ -35,7 +35,7 @@ import numpy as np
 
 from .. import obs
 from ..core.bounds import nearest_columns
-from ..core.clustering import ClusteredSet, center_distances, cluster_points
+from ..core.clustering import ClusteredSet, cluster_points
 from ..core.landmarks import (determine_landmark_count,
                               select_landmarks_random_spread)
 from ..core.validate import as_points, check_points
@@ -197,8 +197,7 @@ class Index:
 
     def rng_state(self):
         """JSON-serializable state of the landmark RNG (persisted so a
-        loaded index clusters query batches bit-identically to the
-        freshly built one)."""
+        loaded index resumes the stream of the freshly built one)."""
         return self._rng.bit_generator.state
 
     @property
@@ -240,17 +239,22 @@ class Index:
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
-    def join_plan(self, queries, mq=None, rng=None):
-        """Cluster ``queries`` against the prepared target side.
+    def join_plan(self, queries):
+        """Step 1 of a query batch on the prepared target side.
 
-        Only the query side is clustered here — the target clusters,
-        their sorted member lists and radii are reused as built.
+        The queries join the index's own landmarks
+        (:func:`~repro.core.ti_knn.landmark_plan`): one GEMM against the
+        target centres assigns them and gives their level-2 centre
+        rows, and the query clusters' centre distances are rows of the
+        index's C x C centre matrix, computed once per version.  The
+        target clusters, their sorted member lists and radii are reused
+        as built.
 
         Returns
         -------
         JoinPlan
         """
-        from ..core.ti_knn import JoinPlan
+        from ..core.ti_knn import landmark_plan
 
         queries = as_points(queries, name="queries")
         if queries.shape[0] == 0:
@@ -259,17 +263,7 @@ class Index:
             raise ValidationError(
                 "dimension mismatch: queries d=%d, prepared index d=%d"
                 % (queries.shape[1], self.dim))
-        rng = rng if rng is not None else self._rng
-        if mq is None:
-            mq = determine_landmark_count(len(queries),
-                                          self.memory_budget_bytes)
-        q_landmarks = select_landmarks_random_spread(queries, mq, rng)
-        query_clusters = cluster_points(queries, q_landmarks,
-                                        sort_descending=False)
-        cdist = center_distances(query_clusters, self.target_clusters)
-        return JoinPlan(query_clusters=query_clusters,
-                        target_clusters=self.target_clusters,
-                        center_dists=cdist)
+        return landmark_plan(queries, self.target_clusters)
 
     # ------------------------------------------------------------------
     # Approximate graph tier

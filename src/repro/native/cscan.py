@@ -123,6 +123,7 @@ class BoundScan:
         self.fn = kernel.fn
         self.dense_min = int(dense_min)
         self.diff = np.empty(flat.points.shape[1])
+        self.diff_ptr = _ptr(self.diff)
         self.layout = (kernel.ddot,
                        *_layouts.get(flat, lambda: _pointer_layout(flat)))
 
@@ -147,16 +148,24 @@ class BoundScan:
                 or k < 1 or (cand.size and not 0 <= cand.min() <= cand.max()
                              < m)):
             raise ValueError("scan inputs do not match the flat layout")
-        out_d = np.empty((nq + 1, k))          # the last row is scratch
-        out_i = np.empty((nq + 1, k), dtype=np.int64)
-        counters = np.empty((nq, len(SCAN_COUNTERS)), dtype=np.int64)
-        dense = np.empty(nq, dtype=np.bool_)
+        # One buffer of float64 words holds every output, so one pointer
+        # is read: (nq + 1, k) dists and ids (the last rows are scratch),
+        # (nq, 7) counters and nq dense flags.
+        block = (nq + 1) * k
+        flags = 2 * block + nq * len(SCAN_COUNTERS)
+        buf = np.empty(flags + (nq + 7) // 8)
+        out_d = buf[:block].reshape(nq + 1, k)
+        out_i = buf[block:2 * block].view(np.int64).reshape(nq + 1, k)
+        counters = buf[2 * block:flags].view(np.int64).reshape(
+            nq, len(SCAN_COUNTERS))
+        dense = buf[flags:].view(np.bool_)[:nq]
+        base = _ptr(buf)
         n_dense = self.fn(
             *self.layout, _ptr(points), _ptr(rows), nq, rows.shape[1],
             _ptr(cand), cand.size, float(ub), k, BOUND_COMPARISON_RTOL,
-            self.dense_min, _ptr(self.diff), _ptr(out_d[nq]),
-            _ptr(out_i[nq]), _ptr(out_d), _ptr(out_i), _ptr(counters),
-            _ptr(dense))
+            self.dense_min, self.diff_ptr, base + 8 * nq * k,
+            base + 8 * (block + nq * k), base, base + 8 * block,
+            base + 16 * block, base + 8 * flags)
         return out_d[:nq], out_i[:nq], counters, dense if n_dense else None
 
 

@@ -1,8 +1,8 @@
 """The flat level-2 stage and its engine registration.
 
 ``ti-flat`` runs :func:`repro.core.ti_knn.ti_knn_join` — the same
-Step-1 plan, level-1 filter, per-cluster ``center_distance_rows``
-batching and counter accounting as ``ti-cpu`` — with a level-2 stage
+Step-1 plan, level-1 filter, per-cluster ``center_distance_rows`` and
+counter accounting as ``ti-cpu`` — with a level-2 stage
 (:class:`FlatScan`) that scans the
 :class:`~repro.native.layout.FlatTargets` CSR pack instead of the
 clustered set's ragged member lists, with Algorithm 2's full filter:
@@ -15,6 +15,15 @@ inequality cannot prune take the dense route instead
 GEMM shortlist per call answers them with the same distances.
 ``stats.extra["kernel_tier"]`` says which kernels ran: ``"c-flat"`` or
 ``"numpy-flat"``.
+
+On a prepared index the plan comes from ``Index.join_plan``: the
+queries join the index's own landmarks, and the one GEMM that assigns
+them also gives every centre-distance row the kernels read (GEMM-form
+entries within :data:`~repro.core.filters.CENTER_BAND` of the direct
+form, which half of the kernels' comparison slack covers; see
+docs/INDEX.md).  A one-shot join clusters both sides
+(:func:`~repro.core.ti_knn.prepare_clusters`) and computes each query
+cluster's rows with one GEMM against its candidate centres.
 
 The engine declares ``supports_prepared_index``, so it composes with
 query batching and the process/thread shard pools exactly like

@@ -1,15 +1,15 @@
 """Tests for ``explain=True`` through the serving layer.
 
 The acceptance property: an audited request's funnel counts are
-bit-identical to the counters a direct :func:`repro.knn_join` of the
-same queries reports — explain joins the coalescing key, so the
-request is never mixed into another request's tile.
+bit-identical to the counters a direct query of the same prepared
+index reports — explain joins the coalescing key, so the request is
+never mixed into another request's tile.
 """
 
 import numpy as np
 import pytest
 
-from repro import knn_join
+from repro import SweetKNN
 from repro.obs.audit import QueryAudit
 from repro.obs.funnel import funnel_from_stats
 from repro.serve import KNNServer
@@ -38,7 +38,8 @@ class TestServeExplain:
     def test_audit_funnel_matches_direct_join(self, server, data):
         targets, queries = data
         response = server.query(queries[:4], targets, k=5, explain=True)
-        direct = knn_join(queries[:4], targets, 5, method="ti-cpu", seed=0)
+        direct = SweetKNN(targets, seed=0, method="ti-cpu").query(
+            queries[:4], 5)
         assert isinstance(response.audit, QueryAudit)
         assert response.audit.funnel == funnel_from_stats(direct.stats)
         assert np.array_equal(response.indices, direct.indices)
@@ -69,8 +70,8 @@ class TestServeExplain:
         explained = responses[-1]
         assert explained.audit is not None
         assert explained.audit.batch_rows == 1
-        direct = knn_join(queries[6:7], targets, 3, method="ti-cpu",
-                          seed=0)
+        direct = SweetKNN(targets, seed=0, method="ti-cpu").query(
+            queries[6:7], 3)
         assert explained.audit.funnel == funnel_from_stats(direct.stats)
 
     def test_audit_to_dict_round_trips_json(self, server, data):

@@ -167,3 +167,63 @@ class TestWorkloadInputs:
             assert_same_answer(knn_join(queries, targets, k,
                                         method="ti-flat",
                                         query_batch_size=batch), oracle)
+
+
+def banded_sets():
+    """Clusters along one line, on a quarter grid: the triangle
+    inequality is tight (exact ties between a bound and a distance), and
+    so are many distances.  Then the same set shifted by 1e6 and scaled
+    by 1e-150: the GEMM form of the centre distances is far off its
+    direct form relative to the distances (shifted), or relative to
+    everything but the slack's absolute term (scaled)."""
+    from repro.datasets import synthetic
+
+    rng = np.random.default_rng(11)
+    line = synthetic.gaussian_mixture(560, 1, rng, n_clusters=8,
+                                      separation=6.0)
+    # Quarter-grid positions times a 1/64-grid direction: every
+    # coordinate, and every difference, is exact even after the shift,
+    # but the squared norms of the shifted points are not.
+    direction = np.array([129.0, 67, 133, 263, 137, 75]) / 64.0
+    points = np.round(line * 4.0) / 4.0 * direction
+    targets, queries = points[:500], np.vstack([points[500:], points[:20]])
+    return {"plain": (queries, targets),
+            "shifted": (queries + 1e6, targets + 1e6),
+            "scaled": (queries * 1e-150, targets * 1e-150)}
+
+
+class TestGemmBand:
+    """Index-backed joins read GEMM-form centre distances, recomputed
+    in the direct form or widened where the forward-error bound says
+    they could mislead a bound test."""
+
+    @pytest.mark.parametrize("name", ["plain", "shifted", "scaled"])
+    @pytest.mark.usefixtures("flat_tier", "crossover")
+    def test_ti_flat_equals_brute(self, name):
+        queries, targets = banded_sets()[name]
+        knn = SweetKNN.from_index(Index(targets, seed=0), method="ti-flat")
+        for k in (1, 9):
+            oracle = knn_join(queries, targets, k, method="brute")
+            assert_same_answer(knn.query(queries, k), oracle)
+            assert_same_answer(knn.query(queries[3:4], k),
+                               knn_join(queries[3:4], targets, k,
+                                        method="brute"))
+
+    @pytest.mark.parametrize("name", ["plain", "shifted", "scaled"])
+    def test_ti_cpu_equals_brute(self, name):
+        queries, targets = banded_sets()[name]
+        knn = SweetKNN.from_index(Index(targets, seed=0), method="ti-cpu")
+        for k in (1, 9):
+            assert_same_answer(knn.query(queries, k),
+                               knn_join(queries, targets, k, method="brute"))
+
+    def test_the_band_is_exercised(self):
+        sets = banded_sets()
+        plans = {name: Index(targets, seed=0).join_plan(queries)
+                 for name, (queries, targets) in sets.items()}
+        for plan in plans.values():
+            assert plan.center_band > 0          # level 1 widens
+        shifted = plans["shifted"]
+        # Every shifted row entry is too far off to be read as it is.
+        assert shifted.recomputed == shifted.query_rows.size
+        assert plans["plain"].recomputed < plans["plain"].query_rows.size

@@ -48,8 +48,10 @@ def test_spatial_join(capsys, monkeypatch):
     assert "memory partitions" in out
 
 
-def test_adaptive_tour(capsys):
+def test_adaptive_tour(capsys, monkeypatch):
     example = _load("adaptive_tour")
+    # Still above k = 256, so the first scenario keeps k/d = 64 > 8.
+    monkeypatch.setattr(example, "N", 400)
     example.main()
     out = capsys.readouterr().out
     assert "partial filtering" in out
