@@ -14,9 +14,12 @@ separations and one weakly clustered set, d in {8, 29, 64, 128, 256,
 A crossover ``c`` routes a query dense when its estimate is at least
 ``c``; its cost on an index is the summed per-query cost of that
 routing over the cost of the per-query best.  The table reports each
-``c``'s geometric mean and maximum over the indexes.  A last table asks
-whether a crossover per d beats one constant: both are fitted on the
-even query rows of every index and scored on the odd ones.
+``c``'s geometric mean and maximum over the indexes, and the same for
+the engine's own rule (``engine.dense_crossover``).  A last table asks
+whether a d term beats one constant: one constant, one crossover per d
+and the engine's form ``c·min(1, (DENSE_CROSSOVER_DIM / d) ** p)`` are
+each fitted on the even query rows of every index and scored on the
+odd ones.
 
 The queries join the index's landmarks (``Index.join_plan``), and each
 query's centre-distance row is the plan's, as ``ti_knn_join`` hands it to
@@ -52,6 +55,8 @@ BATCH = 32
 REPS = 5
 CROSSOVERS = (math.inf, 0.99, 0.98, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5,
               0.3, 0.0)
+#: The exponents ``p`` of the d form tried (0 is one constant).
+POWERS = (0.0, 1 / 12, 1 / 8, 1 / 6, 1 / 4, 1 / 3)
 OUT = Path(__file__).parent / "results" / "dense_crossover.txt"
 
 
@@ -126,30 +131,46 @@ def measure(kernel, dim, separation):
     return np.array(out)
 
 
-def _geomean_cost(tables, crossover):
-    rel = [np.where(t[:, 0] >= crossover, t[:, 2], t[:, 1]).sum()
-           / np.minimum(t[:, 1], t[:, 2]).sum() for t in tables]
-    return math.exp(np.mean(np.log(rel)))
+def _cost(table, crossover):
+    """A routing's summed cost over the per-query best."""
+    return (np.where(table[:, 0] >= crossover, table[:, 2], table[:, 1]).sum()
+            / np.minimum(table[:, 1], table[:, 2]).sum())
 
 
-def held_out(tables):
-    """One crossover against one per d, each fitted on the even query
-    rows of every index and scored on the odd ones."""
-    dims = [dim for dim, _, _ in data_sets()]
+def _scored(tables, dims, rule):
+    """Geomean and maximum cost of ``rule(d)`` over the indexes."""
+    costs = [_cost(t, rule(d)) for t, d in zip(tables, dims)]
+    return math.exp(np.mean(np.log(costs))), max(costs)
+
+
+def _d_form(c, power):
+    return lambda d: c * min(1.0, (engine.DENSE_CROSSOVER_DIM / d) ** power)
+
+
+def held_out(tables, dims):
+    """One crossover, one per d and the engine's d form, each fitted on
+    the even query rows of every index and scored on the odd ones."""
     fit = [t[0::2] for t in tables]
     rest = [t[1::2] for t in tables]
-    one = min(CROSSOVERS, key=lambda c: _geomean_cost(fit, c))
-    per_d = {dim: min(CROSSOVERS, key=lambda c: _geomean_cost(
-        [t for t, d in zip(fit, dims) if d == dim], c))
-        for dim in sorted(set(dims))}
-    rel_one = [_geomean_cost([t], one) for t in rest]
-    rel_d = [_geomean_cost([t], per_d[d]) for t, d in zip(rest, dims)]
-    return ["", "held out (fitted on even query rows, scored on odd ones)",
-            "one crossover %-26s geomean cost %.3fx" % (
-                one, math.exp(np.mean(np.log(rel_one)))),
-            "per d %-34s geomean cost %.3fx" % (
-                " ".join("%d:%s" % item for item in per_d.items()),
-                math.exp(np.mean(np.log(rel_d))))]
+
+    def fitted(rules):
+        return min(rules, key=lambda rule: _scored(fit, dims, rule[1])[0])
+
+    one, _ = fitted([(c, lambda d, c=c: c) for c in CROSSOVERS])
+    per_d = {}
+    for dim in sorted(set(dims)):
+        pick = [(t, d) for t, d in zip(fit, dims) if d == dim]
+        per_d[dim] = min(CROSSOVERS, key=lambda c: _scored(
+            [t for t, _ in pick], [d for _, d in pick], lambda d: c)[0])
+    form, _ = fitted([((c, p), _d_form(c, p)) for c in CROSSOVERS
+                      if c <= 1 for p in POWERS])
+    rows = [("one crossover %s" % one, lambda d: one),
+            ("per d " + " ".join("%d:%s" % item for item in per_d.items()),
+             per_d.get),
+            ("d form c=%s p=%.3f" % form, _d_form(*form))]
+    return ["", "held out (fitted on even query rows, scored on odd ones)"] + [
+        "%-48s geomean cost %.3fx" % (label, _scored(rest, dims, rule)[0])
+        for label, rule in rows]
 
 
 def main():
@@ -163,23 +184,24 @@ def main():
              "", "%4s  %-18s %9s %12s %12s %11s" % (
                  "d", "data", "est. med", "TI med us", "dense us",
                  "dense wins")]
-    tables = []
+    tables, dims = [], []
     for dim, label, separation in data_sets():
         t = measure(kernel, dim, separation)
         tables.append(t)
+        dims.append(dim)
         lines.append("%4d  %-18s %9.3f %12.1f %12.1f %10.0f%%" % (
             dim, label, np.median(t[:, 0]), np.median(t[:, 1]) * 1e6,
             np.median(t[:, 2]) * 1e6, 100 * np.mean(t[:, 1] > t[:, 2])))
         print(lines[-1], flush=True)
     lines += ["", "%-10s %14s %8s" % ("crossover", "geomean cost", "max")]
-    for crossover in CROSSOVERS:
-        rel = [np.where(t[:, 0] >= crossover, t[:, 2], t[:, 1]).sum()
-               / np.minimum(t[:, 1], t[:, 2]).sum() for t in tables]
+    rules = [(c, lambda d, c=c: c) for c in CROSSOVERS]
+    rules.append(("engine", engine.dense_crossover))
+    for label, rule in rules:
         lines.append("%-10s %13.3fx %7.2fx" % (
-            crossover, math.exp(np.mean(np.log(rel))), max(rel)))
-    lines += held_out(tables)
+            (label,) + _scored(tables, dims, rule)))
+    lines += held_out(tables, dims)
     OUT.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines[-len(CROSSOVERS) - 5:]))
+    print("\n".join(lines[-len(rules) - 6:]))
 
 
 if __name__ == "__main__":

@@ -66,6 +66,17 @@ def _validate(queries, targets, k):
     return queries, targets, k
 
 
+
+def _check_prepared_options(options):
+    """Reject the Step-1 knobs a prepared index fixes itself."""
+    if "mt" in options:
+        raise ValidationError(
+            "mt is fixed when the index is built; pass it to SweetKNN()")
+    if "mq" in options:
+        raise ValidationError(
+            "mq is not an option of a prepared index: queries join "
+            "its own landmarks")
+
 def knn_join(queries, targets, k, method="sweet", seed=0, device=None,
              query_batch_size=None, workers=None, pool=None, explain=False,
              **options):
@@ -167,7 +178,7 @@ class SweetKNN:
                   if self.device is not None else None)
         self.index = Index(targets, seed=seed, rng=self._rng, mt=mt,
                            memory_budget_bytes=budget)
-        self._plans = {}       # (|Q|, k, mq, knobs, version) -> plan
+        self._plans = {}       # (|Q|, k, knobs, version) -> plan
         self._join_plans = []  # [(query array, version, JoinPlan)]
 
     @classmethod
@@ -209,14 +220,15 @@ class SweetKNN:
         """The (possibly updated) target matrix of the wrapped index."""
         return self.index.targets
 
-    def plan(self, queries, k, mq=None, **options):
+    def plan(self, queries, k, **options):
         """The :class:`~repro.engine.planner.ExecutionPlan` for a query.
 
         Cached per ``(|Q|, k)`` shape (and adaptive knobs), so repeated
         queries of the same shape reuse the resolved plan.
         """
+        _check_prepared_options(options)
         queries, _, k = _validate(queries, self.targets, k)
-        return self._plan_for(queries.shape[0], k, mq, options,
+        return self._plan_for(queries.shape[0], k, options,
                               workers=self.workers, pool=self.pool)
 
     def query(self, queries, k, query_batch_size=None, workers=None,
@@ -227,18 +239,12 @@ class SweetKNN:
         construction; the prebuilt join plan ships to the pool workers,
         where it is cached by content fingerprint across requests.
         """
-        if "mt" in options:
-            raise ValidationError(
-                "mt is fixed when the index is built; pass it to SweetKNN()")
-        if "mq" in options:
-            raise ValidationError(
-                "mq is not an option of a prepared index: queries join "
-                "its own landmarks")
+        _check_prepared_options(options)
         queries, targets, k = _validate(queries, self.targets, k)
         workers = workers if workers is not None else self.workers
         pool = pool if pool is not None else self.pool
         join_plan = self._join_plan_for(queries)
-        exec_plan = self._plan_for(queries.shape[0], k, None, options,
+        exec_plan = self._plan_for(queries.shape[0], k, options,
                                    workers=workers, pool=pool)
         sharding = exec_plan.sharding
         if query_batch_size is not None:
@@ -279,17 +285,17 @@ class SweetKNN:
         """k nearest neighbours of every target within the target set."""
         return self.query(self.targets, k, **options)
 
-    def _plan_for(self, n_queries, k, mq, options, workers=None, pool=None):
+    def _plan_for(self, n_queries, k, options, workers=None, pool=None):
         knobs = tuple(sorted((name, options[name]) for name in options
                              if name in _DECIDE_KEYS))
         # The index version is part of the key: add/remove changes the
         # target count and (after a rebuild) mt, both plan inputs.
-        key = (n_queries, k, mq, knobs, workers, pool, self.index.version)
+        key = (n_queries, k, knobs, workers, pool, self.index.version)
         plan = self._plans.get(key)
         if plan is None:
             plan = plan_shape(n_queries, len(self.targets), k,
                               self.index.dim, method=self._spec.name,
-                              device=self.device, mq=mq, mt=self.index.mt,
+                              device=self.device, mt=self.index.mt,
                               workers=workers, pool=pool, **dict(knobs))
             self._plans[key] = plan
         return plan

@@ -46,26 +46,39 @@ from . import cscan, scan_numpy
 from .layout import flat_targets
 
 __all__ = ["FlatScan", "ENGINES", "NumpyScan", "DenseScan",
-           "DENSE_CROSSOVER", "dense_threshold", "flat_backend",
-           "scan_query_full"]
+           "DENSE_CROSSOVER", "dense_crossover", "dense_threshold",
+           "flat_backend", "scan_query_full"]
 
 
 #: The dense route's crossover: a query goes dense when the clusters
 #: its scan could enter hold at least this share of the live rows
-#: (:func:`~repro.native.scan_numpy.dense_pick`).  Measured in
-#: docs/NATIVE.md; ``inf`` turns the route off.
-DENSE_CROSSOVER = 0.85
+#: (:func:`~repro.native.scan_numpy.dense_pick`), at d up to
+#: :data:`DENSE_CROSSOVER_DIM`; above it the share falls as
+#: ``(DENSE_CROSSOVER_DIM / d) ** DENSE_CROSSOVER_POWER``
+#: (:func:`dense_crossover`).  Measured in docs/NATIVE.md; ``inf`` turns
+#: the route off and ``0`` sends every query dense.
+DENSE_CROSSOVER = 0.99
+DENSE_CROSSOVER_DIM = 64
+DENSE_CROSSOVER_POWER = 1 / 6
 
 
 #: Elements of one block of the dense route's (queries, |T|) masks.
 _MASK_ELEMS = 2 ** 21
 
 
+def dense_crossover(dim):
+    """The dense route's crossover share at dimension ``dim``: a GEMM
+    row gains on a scan of the same rows as d grows."""
+    return DENSE_CROSSOVER * min(
+        1.0, (DENSE_CROSSOVER_DIM / dim) ** DENSE_CROSSOVER_POWER)
+
+
 def dense_threshold(flat):
-    """The pick threshold, in rows, of :data:`DENSE_CROSSOVER`."""
-    if not DENSE_CROSSOVER <= 1.0:
+    """The pick threshold, in rows, of :func:`dense_crossover`."""
+    share = dense_crossover(flat.points.shape[1])
+    if not share <= 1.0:
         return cscan.NEVER_DENSE
-    return math.ceil(DENSE_CROSSOVER * flat.member_idx.size)
+    return math.ceil(share * flat.member_idx.size)
 
 
 class NumpyScan:

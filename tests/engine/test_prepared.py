@@ -112,6 +112,15 @@ class TestSweetKNNReuse:
         with pytest.raises(ValidationError):
             index.query(clustered_points, 3, mt=12)
 
+    @pytest.mark.parametrize("option", ["mq", "mt"])
+    def test_rejects_step1_knobs_in_plan_and_query(self, clustered_points,
+                                                   option):
+        index = SweetKNN(clustered_points)
+        with pytest.raises(ValidationError, match=option):
+            index.plan(clustered_points, 3, **{option: 8})
+        with pytest.raises(ValidationError, match=option):
+            index.query(clustered_points, 3, **{option: 8})
+
     def test_rejects_non_prepared_engine(self, clustered_points):
         with pytest.raises(ValidationError):
             SweetKNN(clustered_points, method="cublas")

@@ -14,6 +14,9 @@ from repro.graph import GraphConfig, KNNGraph, build_graph, calibrate
 from repro.graph.storage import GRAPH_MANIFEST_NAME
 from repro.index import Index
 
+#: ``TestDeterminism.test_graph_is_pinned``'s digest of the fixture graph.
+GRAPH_DIGEST = "deeed48952a4614e"
+
 
 def _dir_digest(path):
     """One sha256 over every file of a graph directory, sorted by name."""
@@ -56,6 +59,19 @@ class TestDeterminism:
                                     graph):
         other = build_graph(graph_index, graph_config, seed=12)
         assert not np.array_equal(other.neighbors, graph.neighbors)
+
+    def test_graph_is_pinned(self, graph):
+        """The fixture graph's ids and update counts, hashed.  The build
+        draws what a query-side landmark pick of its exact bootstrap
+        drew before that Step 1 joined the index's own landmarks
+        (``build._skip_landmark_draws``), so a graph of a
+        ``(seed, fingerprint)`` key keeps its bytes; a change of the
+        build's random stream shows here."""
+        digest = hashlib.sha256()
+        for array in (graph.node_ids, graph.neighbors, graph.entry_points):
+            digest.update(np.ascontiguousarray(array, dtype=np.int64))
+        digest.update(repr(list(graph.iteration_updates)).encode())
+        assert digest.hexdigest()[:16] == GRAPH_DIGEST
 
     def test_default_seed_is_the_index_seed(self, graph_index,
                                             graph_config):
